@@ -52,15 +52,18 @@ def _load_graph(args) -> Graph:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("DEGRATIO_BUDGET")
-    if env:
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get("DEGRATIO_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ParameterError(f"bad DEGRATIO_BUDGET value {env!r}")
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
+    return budget
 
 
 def _graph_summary(G: Graph) -> dict:
@@ -95,7 +98,7 @@ def _report(args, command: str, G: Graph | None, payload: dict,
 def cmd_solve(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    res = solve_q(G, budget=_budget(args), jobs=args.jobs)
+    res = solve_q(G, budget=_budget(args))
     part = res.optimal_partition.to_string()
     payload = {"q": format_ratio(res.q), "partition": part,
                "explored": res.explored, "method": res.method}
@@ -124,7 +127,9 @@ def cmd_closed_form(args) -> int:
     lines = [f"q = {format_ratio(verdict.value)} (rule: {verdict.rule})"]
     if verdict.witness is not None:
         quality = partition_quality(G, verdict.witness).quality
-        assert quality == verdict.value or quality >= verdict.value
+        if quality != verdict.value:
+            raise AssertionError(
+                f"witness quality {quality} differs from the value {verdict.value}")
         payload["witness"] = verdict.witness.to_string()
         lines.append(f"witness = {verdict.witness.to_string()}")
     return _report(args, "closed-form", G, payload, True, started, lines)
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute q(G) exactly with a witness")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("decide", help="decide q(G) >= q")

@@ -18,8 +18,8 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, ParameterError, PreconditionError
 from .formulas import _theorem_classes, two_fifths_family
-from .graph import (Graph, adjacency_masks, connectivity, cycle, is_connected,
-                    is_isomorphic)
+from .graph import (Graph, adjacency_masks, connectivity, cut_splits, cycle,
+                    is_connected, is_isomorphic, regularity)
 from .ratios import Bipartition, partition_quality
 from .solver import DEFAULT_BUDGET, solve_q
 
@@ -286,7 +286,6 @@ def _cycle_within(G: Graph, allowed: frozenset[int]) -> list[int] | None:
                         x = parent[x]
                     if len(cyc) >= 3:
                         return cyc
-        parent = {k: p for k, p in parent.items()}
     return None
 
 
@@ -454,7 +453,6 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
         if any(is_isomorphic(G, F) for F in excluded):
             raise PreconditionError("graph is one of the excluded 2/5-value graphs")
     elif threshold == Fraction(3, 5):
-        from .graph import regularity
         if regularity(G) != 4 or not is_connected(G):
             raise PreconditionError("3/5 good pairs apply to connected 4-regular graphs")
     else:
@@ -477,7 +475,8 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
             f"no good pair exists at threshold {threshold}: q(G) = {res.q}")
     gp = GoodPair(res.optimal_partition.side(1), res.optimal_partition.side(2),
                   threshold, "fallback")
-    assert is_good_pair(G, gp)
+    if not is_good_pair(G, gp):
+        raise AssertionError("solver partition fails the good-pair invariant")
     return gp
 
 
@@ -524,36 +523,7 @@ def connectivity_partition(G: Graph) -> tuple[Fraction, Bipartition] | None:
     None when the graph is biconnected and bridgeless."""
     if not is_connected(G):
         raise PreconditionError("connectivity partition needs a connected graph")
-    conn = connectivity(G)
-    candidates: list[Bipartition] = []
-    for u, v in sorted(conn.bridges):
-        side1 = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for x in G.adj[w]:
-                if (w, x) in ((u, v), (v, u)) or x in side1:
-                    continue
-                side1.add(x)
-                stack.append(x)
-        candidates.append(Bipartition.from_side1(G.n, side1))
-    for c in sorted(conn.cut_vertices):
-        comp_of: dict[int, frozenset[int]] = {}
-        for v in range(G.n):
-            if v == c or v in comp_of:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                for x in G.adj[w]:
-                    if x != c and x not in comp:
-                        comp.add(x)
-                        stack.append(x)
-            for w in comp:
-                comp_of[w] = frozenset(comp)
-        comp = min(set(comp_of.values()), key=lambda s: (len(s & G.adj[c]), sorted(s)))
-        candidates.append(Bipartition.from_side1(G.n, comp))
+    candidates = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
     if not candidates:
         return None
     best = max(candidates, key=lambda P: partition_quality(G, P).quality)

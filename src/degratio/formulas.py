@@ -14,7 +14,7 @@ from .errors import NoApplicableRule, ParameterError, PreconditionError
 from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
                     complete, complete_bipartite, contains_subgraph, cycle,
                     is_connected, is_isomorphic, is_tree, k_triangle,
-                    regularity)
+                    regularity, split_side)
 from .ratios import Bipartition, partition_quality
 from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 
@@ -123,16 +123,7 @@ def tree_q(T: Graph) -> FormulaVerdict:
         cand = min(Fraction(T.degree(u), T.closed_degree(u)),
                    Fraction(T.degree(v), T.closed_degree(v)))
         if cand == value:
-            side1 = {u}
-            stack = [u]
-            while stack:
-                w = stack.pop()
-                for x in T.adj[w]:
-                    if (w, x) in ((u, v), (v, u)) or x in side1:
-                        continue
-                    side1.add(x)
-                    stack.append(x)
-            witness = Bipartition.from_side1(T.n, side1)
+            witness = Bipartition.from_side1(T.n, split_side(T, u, v))
             return FormulaVerdict(value, "tree", witness)
     raise AssertionError("no maximizing edge found")
 
@@ -206,20 +197,11 @@ def product_kreg_tree_q(G: Graph, H: Graph) -> FormulaVerdict:
                    Fraction(H.degree(v) + k, H.closed_degree(v) + k))
         if cand > value:
             value, best_edge = cand, (u, v)
-    u, v = best_edge
-    side_u = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in H.adj[w]:
-            if (w, x) in ((u, v), (v, u)) or x in side_u:
-                continue
-            side_u.add(x)
-            stack.append(x)
     P = cartesian_product(G, H)
-    h_part = Bipartition.from_side1(H.n, side_u)
+    h_part = Bipartition.from_side1(H.n, split_side(H, *best_edge))
     witness = lift_partition(P, h_part, "right")
-    assert partition_quality(P, witness).quality == value
+    if partition_quality(P, witness).quality != value:
+        raise AssertionError("lifted tree-edge witness misses the formula value")
     return FormulaVerdict(value, "prodkregtree", witness)
 
 
@@ -246,7 +228,8 @@ def product_cubic_q(G: Graph, H: Graph,
             raise AssertionError("cubic product dichotomy violated: no matching-cut")
         witness = cert.partition
         value = Fraction(6, 7)
-    assert partition_quality(P, witness).quality == value
+    if partition_quality(P, witness).quality != value:
+        raise AssertionError("cubic product witness misses the formula value")
     return FormulaVerdict(value, "prodcub", witness)
 
 
@@ -258,7 +241,12 @@ def closed_form(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     if is_isomorphic(G, complete(G.n)):
         return clique_q(G.n)
     if G.n >= 3 and is_isomorphic(G, k_triangle(G.n - 2)):
-        return ktriangle_q(G.n - 2)
+        # split the input's own base pair (the two top-degree vertices) and
+        # give the first half of the apexes to the first base vertex
+        k = G.n - 2
+        a, _, *apexes = sorted(G.vertices(), key=lambda v: -G.degree(v))
+        witness = Bipartition.from_side1(G.n, [a] + apexes[: k // 2])
+        return FormulaVerdict(ktriangle_q(k).value, "ktriangle", witness)
     if is_tree(G):
         return tree_q(G)
     if G.factors is not None:

@@ -2,7 +2,7 @@
 products with fiber provenance, induced-pattern detection and connectivity.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
-construction and safe to share between workers.
+construction.
 """
 
 from __future__ import annotations
@@ -180,6 +180,38 @@ def connectivity(G: Graph) -> Connectivity:
         if root_children >= 2:
             cut_vertices.add(root)
     return Connectivity(tuple(comps), frozenset(cut_vertices), frozenset(bridges))
+
+
+def split_side(G: Graph, u: int, v: int) -> frozenset[int]:
+    """The vertices reachable from u without passing through v.
+
+    For a bridge uv this is u's side once the edge is removed; for a cut
+    vertex v and a neighbor u it is the component of G - v that holds u.
+    """
+    seen = {u}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        for x in G.adj[w]:
+            if x != v and x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return frozenset(seen)
+
+
+def cut_splits(G: Graph) -> list[frozenset[int]]:
+    """One side per bridge and per cut vertex of a connected graph: u's side
+    of each bridge uv, then, for each cut vertex c, the component of G - c
+    holding the fewest neighbors of c (ties to the smallest sorted set)."""
+    conn = connectivity(G)
+    splits = [split_side(G, u, v) for u, v in sorted(conn.bridges)]
+    for c in sorted(conn.cut_vertices):
+        comps: list[frozenset[int]] = []
+        for x in sorted(G.adj[c]):
+            if not any(x in comp for comp in comps):
+                comps.append(split_side(G, x, c))
+        splits.append(min(comps, key=lambda s: (len(s & G.adj[c]), sorted(s))))
+    return splits
 
 
 def is_biconnected(G: Graph) -> bool:

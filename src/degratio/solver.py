@@ -1,22 +1,30 @@
-"""Exact computation of the optimal degree ratio q(G) and matching-cut
-detection, by partition enumeration with admissible pruning.
+"""Exact computation of the optimal degree ratio q(G), the decision
+"q(G) >= q", and matching-cut detection, by one partition search.
 
-The search fixes vertex 0 on side 1 (complement symmetry halves the space)
-and abandons a branch only when some vertex whose cross-neighborhood is
-partially decided can no longer beat the incumbent even if every undecided
-neighbor lands on its side.  Failure to finish within the assignment budget
-raises :class:`BudgetExceededError`; the answer is never silently inexact.
+All three ask for a nontrivial partition in which each vertex v has at most
+cap[v] neighbors on the other side.  The search fixes vertex 0 on side 1
+(complement symmetry halves the space) and abandons a branch as soon as an
+assigned vertex exceeds its cap; undecided neighbors are assumed to land on
+its side, so the pruning is admissible.  The caps are:
+
+- ``decide(G, q)``: ``d[v] * (den - num) // den``, i.e. ratio >= q;
+- matching-cut: 1;
+- ``solve_q``: ``(d[v] * (den - num) - 1) // den`` for the incumbent's
+  num/den, i.e. strictly better; the caps are lowered after each improving
+  leaf, which makes the search a branch and bound.
+
+Failure to finish within the assignment budget raises
+:class:`BudgetExceededError`; the answer is never silently inexact.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ParameterError, PreconditionError
-from .graph import Graph, cartesian_product, components, connectivity, is_connected
+from .graph import (Graph, cartesian_product, components, cut_splits,
+                    is_connected)
 from .ratios import (Bipartition, MatchingCutCertificate, crossing_edges,
                      is_matching, partition_quality)
 
@@ -101,44 +109,11 @@ def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipar
 
 
 def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
-    seeds: list[Bipartition] = []
     comps = components(G)
     if len(comps) > 1:
         return [Bipartition.from_side1(G.n, comps[0])]  # quality 1, optimal
 
-    conn = connectivity(G)
-    for u, v in sorted(conn.bridges):
-        side1 = {u}
-        stack = [u]
-        while stack:  # component of u in G minus the bridge
-            w = stack.pop()
-            for x in G.adj[w]:
-                if (w, x) in ((u, v), (v, u)):
-                    continue
-                if x not in side1:
-                    side1.add(x)
-                    stack.append(x)
-        if 0 < len(side1) < G.n:
-            seeds.append(Bipartition.from_side1(G.n, side1))
-    for c in sorted(conn.cut_vertices):
-        rest = [v for v in range(G.n) if v != c]
-        comp_of = {}
-        for v in rest:
-            if v in comp_of:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                for x in G.adj[w]:
-                    if x != c and x not in comp:
-                        comp.add(x)
-                        stack.append(x)
-            for w in comp:
-                comp_of[w] = frozenset(comp)
-        choices = {comp_of[v] for v in rest}
-        best_comp = min(choices, key=lambda s: (len(s & G.adj[c]), sorted(s)))
-        seeds.append(Bipartition.from_side1(G.n, best_comp))
+    seeds = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
 
     if G.factors is not None:
         Gf, Hf = G.factors
@@ -164,116 +139,84 @@ def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
     return improved
 
 
-# -- branch and bound for q(G) ----------------------------------------------
+# -- the search engine -----------------------------------------------------
 
 
-def _bb_max(G: Graph, order: list[int], prefix: tuple[int, ...],
-            inc_num: int, inc_den: int, budget: int):
-    """Exhaust all assignments extending ``prefix`` (sides for order[0..]),
-    looking for partitions strictly better than inc_num/inc_den.
+def _search(G: Graph, cap: list[int], budget: int, on_leaf):
+    """Depth-first search over side assignments in BFS order, with vertex 0
+    fixed on side 1.
 
-    Returns (best_num, best_den, best_sides_or_None, explored).
+    A branch dies as soon as some assigned vertex v has more than ``cap[v]``
+    neighbors on the other side.  At each complete assignment with both
+    sides nonempty, ``on_leaf(sides)`` is called; the search stops there when
+    it returns true.  ``on_leaf`` may lower ``cap`` in place, and later
+    checks use the new caps.  The stack is explicit, so the depth is not
+    bounded by the interpreter's recursion limit.
+
+    Returns ``(explored, sides)``: the number of attempted assignments, and
+    the leaf that stopped the search, or None when the search was exhausted.
     """
     n = G.n
+    order = _bfs_order(G)
     adjl = [sorted(G.adj[v]) for v in range(n)]
-    d1 = [G.closed_degree(v) for v in range(n)]
     side = [0] * n
     cross = [0] * n
+    touched: list[list[int]] = [[] for _ in range(n)]  # undo info per depth
+    nxt = [1] * n  # next side to try per depth
     count2 = 0
     explored = 0
-    best_num, best_den = inc_num, inc_den
-    best_sides: tuple[int, ...] | None = None
-
-    def try_assign(v: int, s: int):
-        """Assign v to side s; returns undo info, or None when pruned."""
-        opp = 3 - s
-        touched: list[int] = []
-        cv = 0
-        ok = True
-        for u in adjl[v]:
-            su = side[u]
-            if su == opp:
-                cv += 1
-                cross[u] += 1
-                touched.append(u)
-                if (d1[u] - cross[u]) * best_den <= best_num * d1[u]:
-                    ok = False
-                    break
-        if ok:
-            cross[v] = cv
-            if (d1[v] - cv) * best_den <= best_num * d1[v]:
-                ok = False
-        if not ok:
-            for u in touched:
-                cross[u] -= 1
-            cross[v] = 0
-            return None
-        side[v] = s
-        return touched
-
-    def undo(v: int, touched: list[int]):
-        side[v] = 0
-        cross[v] = 0
-        for u in touched:
-            cross[u] -= 1
-
-    def rec(i: int):
-        nonlocal explored, best_num, best_den, best_sides, count2
-        if i == n:
-            if count2 == 0:
-                return
-            mn, md = 2, 1
-            for v in range(n):
-                kept = d1[v] - cross[v]
-                if kept * md < mn * d1[v]:
-                    mn, md = kept, d1[v]
-            if mn * best_den > best_num * md:
-                best_num, best_den = mn, md
-                best_sides = tuple(side)
-            return
-        v = order[i]
-        for s in ((1,) if i == 0 else (1, 2)):
+    i = 0
+    while True:
+        if i < n and nxt[i] <= (2 if i else 1):
+            s = nxt[i]
+            nxt[i] = s + 1
             explored += 1
             if explored > budget:
                 raise BudgetExceededError(explored=explored)
-            touched = try_assign(v, s)
-            if touched is None:
+            v = order[i]
+            opp = 3 - s
+            t = touched[i]
+            t.clear()
+            cv = 0
+            ok = True
+            for u in adjl[v]:
+                if side[u] == opp:
+                    cv += 1
+                    cross[u] += 1
+                    t.append(u)
+                    if cross[u] > cap[u]:
+                        ok = False
+                        break
+            if not ok or cv > cap[v]:
+                for u in t:
+                    cross[u] -= 1
                 continue
+            side[v] = s
+            cross[v] = cv
             if s == 2:
                 count2 += 1
-            rec(i + 1)
-            if s == 2:
-                count2 -= 1
-            undo(v, touched)
-
-    # apply the forced prefix, then search below it
-    applied: list[tuple[int, list[int]]] = []
-    pruned = False
-    for i, s in enumerate(prefix):
+            i += 1
+            if i < n:
+                nxt[i] = 1
+            elif count2:
+                sides = tuple(side)
+                if on_leaf(sides):
+                    return explored, sides
+            continue
+        # depth i is exhausted (or a leaf was handled): undo depth i - 1
+        i -= 1
+        if i < 0:
+            return explored, None
         v = order[i]
-        touched = try_assign(v, s)
-        if touched is None:
-            pruned = True
-            break
-        if s == 2:
-            count2 += 1
-        applied.append((v, touched))
-    if not pruned:
-        rec(len(prefix))
-    for v, touched in reversed(applied):
-        undo(v, touched)
-    return best_num, best_den, best_sides, explored
+        if side[v] == 2:
+            count2 -= 1
+        side[v] = 0
+        cross[v] = 0
+        for u in touched[i]:
+            cross[u] -= 1
 
 
-def _solve_prefix_worker(args):
-    G, order, prefix, inc_num, inc_den, budget = args
-    try:
-        return ("ok", _bb_max(G, order, tuple(prefix), inc_num, inc_den, budget))
-    except BudgetExceededError as exc:
-        return ("budget", exc.explored)
-
-
-def solve_q(G: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SolveResult:
+def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions."""
     seeds = _seed_partitions(G, budget)
     best_part = seeds[0]
@@ -285,31 +228,27 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SolveResul
     if best_q == 1:  # disconnected optimum, nothing can beat it
         return SolveResult(best_q, best_part, 0, "pruned_search")
 
-    order = _bfs_order(G)
-    if jobs <= 1 or G.n < 6:
-        num, den, sides, explored = _bb_max(
-            G, order, (1,), best_q.numerator, best_q.denominator, budget)
-    else:
-        k = min(G.n - 2, max(1, (2 * jobs - 1).bit_length()))
-        prefixes = [(1,) + tuple(1 + (bits >> j & 1) for j in range(k))
-                    for bits in range(1 << k)]
-        tasks = [(G, order, p, best_q.numerator, best_q.denominator, budget)
-                 for p in prefixes]
-        num, den = best_q.numerator, best_q.denominator
-        sides = None
-        explored = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for status, payload in pool.map(_solve_prefix_worker, tasks):
-                if status == "budget":
-                    raise BudgetExceededError(explored=explored + payload)
-                wnum, wden, wsides, wexplored = payload
-                explored += wexplored
-                if wsides is not None and wnum * den > num * wden:
-                    num, den, sides = wnum, wden, wsides
+    d1 = [G.closed_degree(v) for v in range(G.n)]
+    cap: list[int] = []
 
-    if sides is not None:
-        best_part = Bipartition(sides)
-        best_q = Fraction(num, den)
+    def require_better_than(q: Fraction):
+        # kept/d1 > q  <=>  cross <= (d1 * (den - num) - 1) // den
+        num, den = q.numerator, q.denominator
+        cap[:] = [(d * (den - num) - 1) // den for d in d1]
+
+    def improve(sides) -> bool:
+        # a lowered cap is checked only where a cross count changes later,
+        # so a leaf can fall short of an incumbent found after its prefix
+        nonlocal best_part, best_q
+        cand = Bipartition(sides)
+        q = partition_quality(G, cand).quality
+        if q > best_q:
+            best_part, best_q = cand, q
+            require_better_than(q)
+        return False
+
+    require_better_than(best_q)
+    explored, _ = _search(G, cap, budget, improve)
     return SolveResult(best_q, best_part, explored, "pruned_search")
 
 
@@ -325,120 +264,26 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
         if partition_quality(G, p).quality >= q:
             return DecideResult(True, p, 0)
 
-    n = G.n
-    order = _bfs_order(G)
-    adjl = [sorted(G.adj[v]) for v in range(n)]
-    d1 = [G.closed_degree(v) for v in range(n)]
-    side = [0] * n
-    cross = [0] * n
-    explored = 0
-    qn, qd = q.numerator, q.denominator
-
-    def rec(i: int, count2: int):
-        nonlocal explored
-        if i == n:
-            if count2 == 0:
-                return None
-            return Bipartition(tuple(side))
-        v = order[i]
-        for s in ((1,) if i == 0 else (1, 2)):
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(explored=explored)
-            opp = 3 - s
-            touched = []
-            cv = 0
-            ok = True
-            for u in adjl[v]:
-                if side[u] == opp:
-                    cv += 1
-                    cross[u] += 1
-                    touched.append(u)
-                    if (d1[u] - cross[u]) * qd < qn * d1[u]:
-                        ok = False
-                        break
-            if ok:
-                cross[v] = cv
-                if (d1[v] - cv) * qd < qn * d1[v]:
-                    ok = False
-            if ok:
-                side[v] = s
-                found = rec(i + 1, count2 + (s == 2))
-                side[v] = 0
-                if found is not None:
-                    for u in touched:
-                        cross[u] -= 1
-                    cross[v] = 0
-                    return found
-            for u in touched:
-                cross[u] -= 1
-            cross[v] = 0
-        return None
-
-    witness = rec(0, 0)
-    if witness is not None and partition_quality(G, witness).quality < q:
+    # kept/d1 >= q  <=>  cross <= d1 * (den - num) // den
+    num, den = q.numerator, q.denominator
+    cap = [G.closed_degree(v) * (den - num) // den for v in range(G.n)]
+    explored, sides = _search(G, cap, budget, lambda sides: True)
+    if sides is None:
+        return DecideResult(False, None, explored)
+    witness = Bipartition(sides)
+    if partition_quality(G, witness).quality < q:
         raise AssertionError("search produced an invalid witness")
-    return DecideResult(witness is not None, witness, explored)
+    return DecideResult(True, witness, explored)
 
 
 # -- matching cuts ----------------------------------------------------------
 
 
-def _mc_search(G: Graph, budget: int) -> MatchingCutCertificate:
-    """Exhaustive bipartition search; any vertex with two cross neighbors
-    kills the branch, so a reached leaf is a matching-cut partition."""
-    n = G.n
-    order = _bfs_order(G)
-    adjl = [sorted(G.adj[v]) for v in range(n)]
-    side = [0] * n
-    cross = [0] * n
-    explored = 0
-
-    def rec(i: int, count2: int):
-        nonlocal explored
-        if i == n:
-            if count2 == 0:
-                return None
-            return Bipartition(tuple(side))
-        v = order[i]
-        for s in ((1,) if i == 0 else (1, 2)):
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(explored=explored)
-            opp = 3 - s
-            touched = []
-            cv = 0
-            ok = True
-            for u in adjl[v]:
-                if side[u] == opp:
-                    cv += 1
-                    cross[u] += 1
-                    touched.append(u)
-                    if cross[u] >= 2:
-                        ok = False
-                        break
-            if ok and cv >= 2:
-                ok = False
-            if ok:
-                cross[v] = cv
-                side[v] = s
-                found = rec(i + 1, count2 + (s == 2))
-                side[v] = 0
-                cross[v] = 0
-                if found is not None:
-                    for u in touched:
-                        cross[u] -= 1
-                    return found
-            for u in touched:
-                cross[u] -= 1
-        return None
-
-    witness = rec(0, 0)
-    if witness is None:
-        return MatchingCutCertificate(False, None, (), exhaustive=True)
-    crossing = tuple(crossing_edges(G, witness))
-    assert crossing and is_matching(G, crossing)
-    return MatchingCutCertificate(True, witness, crossing, exhaustive=True)
+def _matching_cut_certificate(G: Graph, P: Bipartition) -> MatchingCutCertificate:
+    crossing = tuple(crossing_edges(G, P))
+    if not crossing or not is_matching(G, crossing):
+        raise AssertionError("matching-cut witness does not cut a matching")
+    return MatchingCutCertificate(True, P, crossing, exhaustive=True)
 
 
 def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
@@ -453,7 +298,11 @@ def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
         raise PreconditionError("matching-cut search needs a connected graph")
     if use_product_rule and G.factors is not None:
         return _product_certificate(G, budget)
-    return _mc_search(G, budget)
+    # a vertex with two cross neighbors kills the branch, so a leaf is a cut
+    _, sides = _search(G, [1] * G.n, budget, lambda sides: True)
+    if sides is None:
+        return MatchingCutCertificate(False, None, (), exhaustive=True)
+    return _matching_cut_certificate(G, Bipartition(sides))
 
 
 def _product_certificate(P: Graph, budget: int) -> MatchingCutCertificate:
@@ -461,10 +310,8 @@ def _product_certificate(P: Graph, budget: int) -> MatchingCutCertificate:
     for which, F in (("left", Gf), ("right", Hf)):
         cert = find_matching_cut(F, budget=budget)
         if cert.has_cut:
-            lifted = lift_partition(P, cert.partition, which)
-            crossing = tuple(crossing_edges(P, lifted))
-            assert crossing and is_matching(P, crossing)
-            return MatchingCutCertificate(True, lifted, crossing, exhaustive=True)
+            return _matching_cut_certificate(
+                P, lift_partition(P, cert.partition, which))
     return MatchingCutCertificate(False, None, (), exhaustive=True)
 
 

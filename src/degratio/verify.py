@@ -22,6 +22,7 @@ from .formulas import (class_lower_bound, cubic_q, edge_upper_bound,
 from .graph import (Graph, build_named, complete, connectivity, cycle,
                     emit_graph, is_connected, is_isomorphic, is_tree,
                     regularity)
+from .ratios import partition_quality
 from .reductions import (bipartite_double_cover, cover_plus_matching,
                          product_with_fixed, twin_expand_then_K2,
                          verify_equivalence)
@@ -147,7 +148,6 @@ def suite_good_pair(max_n: int = 9, seed: int = 1,
         except PreconditionError:
             continue  # triangle-free graphs are outside the construction
         P = extend_good_pair(G, gp)
-        from .ratios import partition_quality
         quality = partition_quality(G, P).quality
         results.append(_result("good-pair", "extension-quality", G,
                                quality >= Fraction(3, 7),

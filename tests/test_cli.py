@@ -71,6 +71,19 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "inconclusive" in err
 
 
+def test_budget_zero_is_honored(capsys):
+    code, _, err = run(capsys, "solve", "--named", "K5", "--budget", "0")
+    assert code == 3 and "inconclusive" in err
+
+
+def test_negative_budget_rejected(capsys, monkeypatch):
+    code, _, err = run(capsys, "solve", "--named", "K5", "--budget", "-1")
+    assert code == 1 and "budget" in err
+    monkeypatch.setenv("DEGRATIO_BUDGET", "-5")
+    code, _, err = run(capsys, "solve", "--named", "K5")
+    assert code == 1 and "budget" in err
+
+
 def test_json_report_shape(capsys):
     code, out, _ = run(capsys, "solve", "--named", "K6", "--json")
     assert code == 0

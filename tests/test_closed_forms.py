@@ -52,6 +52,18 @@ def test_ktriangle_values():
         _check_verdict(T, v, naive_q(T)[0])
 
 
+def test_ktriangle_witness_on_relabelled_graphs():
+    rng = random.Random(7)
+    for k in range(1, 9):
+        T = k_triangle(k)
+        for _ in range(8):
+            perm = list(range(T.n))
+            rng.shuffle(perm)
+            G = graph_from_edges(T.n, [(perm[u], perm[v]) for u, v in T.edges()])
+            v = closed_form(G)
+            assert partition_quality(G, v.witness).quality == v.value, (k, perm)
+
+
 def test_clique_values():
     for n in range(2, 10):
         v = clique_q(n)

@@ -113,6 +113,7 @@ def test_budget_exhaustion_raises():
         decide(G, Fraction(99, 100), budget=8)
 
 
-def test_jobs_parallel_value_matches():
-    G = cartesian_product(complete(4), complete(4))
-    assert solve_q(G, jobs=2).q == Fraction(5, 7)
+def test_matching_cut_search_is_not_bounded_by_recursion_limit():
+    G = cycle(1100)
+    cert = find_matching_cut(G)
+    assert cert.has_cut and len(cert.crossing) == 2
