@@ -489,6 +489,8 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
     k = pattern.n
     if k > G.n:
         return False
+    pdeg = [len(a) for a in pattern.adj]
+    gdeg = [len(a) for a in G.adj]
     # order pattern vertices so each one after the first touches a previous
     # vertex when possible; improves pruning a lot on connected patterns
     order: list[int] = []
@@ -496,37 +498,35 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
     while remaining:
         attached = [v for v in remaining if any(u in order for u in pattern.adj[v])]
         pool = attached or list(remaining)
-        v = max(pool, key=lambda x: pattern.degree(x))
+        v = max(pool, key=lambda x: pdeg[x])
         order.append(v)
         remaining.discard(v)
-    mapping: dict[int, int] = {}
+    # per position: the earlier positions whose images must be adjacent to
+    # this one's, and (induced only) those whose images must not be
+    linked = [[j for j in range(i) if order[j] in pattern.adj[order[i]]]
+              for i in range(k)]
+    apart = [[j for j in range(i) if order[j] not in pattern.adj[order[i]]]
+             if induced else [] for i in range(k)]
+    image = [0] * k
     used = [False] * G.n
 
     def extend(i: int) -> bool:
         if i == k:
             return True
-        pv = order[i]
-        for gv in range(G.n):
-            if used[gv]:
+        need = pdeg[order[i]]
+        near = linked[i]
+        # the image must be adjacent to every placed neighbor's image
+        candidates = G.adj[image[near[0]]] if near else range(G.n)
+        for gv in candidates:
+            if used[gv] or gdeg[gv] < need:
                 continue
-            if G.degree(gv) < pattern.degree(pv):
-                continue
-            ok = True
-            for pu, gu in mapping.items():
-                adj_p = pu in pattern.adj[pv]
-                adj_g = gu in G.adj[gv]
-                if adj_p and not adj_g:
-                    ok = False
-                    break
-                if induced and not adj_p and adj_g:
-                    ok = False
-                    break
-            if ok:
-                mapping[pv] = gv
+            nbrs = G.adj[gv]
+            if (all(image[j] in nbrs for j in near)
+                    and not any(image[j] in nbrs for j in apart[i])):
+                image[i] = gv
                 used[gv] = True
                 if extend(i + 1):
                     return True
-                del mapping[pv]
                 used[gv] = False
         return False
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import BudgetExceededError, ParameterError, PreconditionError
 from .graph import (Graph, cartesian_product, components, cut_splits,
@@ -70,28 +71,68 @@ def _bfs_order(G: Graph) -> list[int]:
     return order
 
 
-def _hill_climb(G: Graph, P: Bipartition, rounds: int | None = None) -> Bipartition:
-    """Greedy single-vertex moves while the partition quality strictly improves."""
-    if rounds is None:
-        rounds = 4 * G.n
-    cur = P
-    cur_q = partition_quality(G, cur).quality
-    for _ in range(rounds):
-        best = None
-        best_q = cur_q
-        for v in range(G.n):
-            if sum(1 for s in cur.sides if s == cur.sides[v]) == 1:
+def _hill_climb(G: Graph, P: Bipartition) -> Bipartition:
+    """Greedy single-vertex moves while the partition quality strictly
+    improves, for at most 4n rounds.  Each round flips the first vertex, in
+    index order, whose flip gives the strictly best quality; no flip may
+    empty a side.
+
+    Vertex v keeps ``kept[v]`` of its ``d1[v]`` closed neighbors on its side,
+    and ratios kept/d1 are compared by cross-multiplying integers.  Flipping
+    v changes only the ratios in N[v], so a flip is scored from N[v] and from
+    the smallest ratio outside N[v]: the first vertex outside N[v] in the
+    round's ratio order.
+    """
+    n = G.n
+    adj = G.adj
+    adjl = [tuple(a) for a in adj]
+    d1 = [len(a) + 1 for a in adjl]
+    side = list(P.sides)
+    size = [0, side.count(1), side.count(2)]
+    kept = [1 + [side[u] for u in a].count(s) for a, s in zip(adjl, side)]
+    by_ratio = cmp_to_key(lambda a, b: kept[a] * d1[b] - kept[b] * d1[a])
+    for _ in range(4 * n):
+        order = sorted(range(n), key=by_ratio)
+        best_v = -1
+        bk, bd = kept[order[0]], d1[order[0]]  # the quality to beat, bk/bd
+        for v in range(n):
+            s = side[v]
+            if size[s] == 1:
                 continue  # would empty a side
-            flipped = list(cur.sides)
-            flipped[v] = 3 - flipped[v]
-            cand = Bipartition(tuple(flipped))
-            q = partition_quality(G, cand).quality
-            if q > best_q:
-                best, best_q = cand, q
-        if best is None:
+            mk = md = 1  # the flipped quality so far, mk/md; 1 is the top
+            nv = adj[v]
+            for w in order:
+                if w != v and w not in nv:
+                    mk, md = kept[w], d1[w]
+                    break
+            if mk * bd <= bk * md:
+                continue
+            dv = d1[v]
+            kv = dv - kept[v] + 1
+            if kv * bd <= bk * dv:
+                continue
+            if kv * md < mk * dv:
+                mk, md = kv, dv
+            for u in adjl[v]:
+                ku = kept[u] - 1 if side[u] == s else kept[u] + 1
+                du = d1[u]
+                if ku * bd <= bk * du:
+                    break
+                if ku * md < mk * du:
+                    mk, md = ku, du
+            else:
+                best_v, bk, bd = v, mk, md
+        if best_v < 0:
             break
-        cur, cur_q = best, best_q
-    return cur
+        v = best_v
+        s = side[v]
+        side[v] = 3 - s
+        size[s] -= 1
+        size[3 - s] += 1
+        kept[v] = d1[v] - kept[v] + 1
+        for u in adjl[v]:
+            kept[u] += -1 if side[u] == s else 1
+    return Bipartition(tuple(side))
 
 
 def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:
@@ -129,9 +170,14 @@ def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
     seeds.append(Bipartition.from_side1(G.n, half))
     seeds.append(Bipartition.from_side1(G.n, {0}))
 
+    # the climb is deterministic, so a repeated start adds nothing new
     improved = []
+    started = set()
     seen = set()
     for p in seeds:
+        if p.sides in started:
+            continue
+        started.add(p.sides)
         p = _hill_climb(G, p)
         if p.sides not in seen:
             seen.add(p.sides)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from degratio.graph import Graph
-from degratio.ratios import Bipartition
+from degratio.ratios import Bipartition, partition_quality
 
 
 def naive_q(G: Graph) -> tuple[Fraction, Bipartition]:
@@ -47,6 +47,29 @@ def naive_matching_cut(G: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def naive_climb(G: Graph, P: Bipartition) -> Bipartition:
+    """Reference hill climb: each round rescores every single-vertex flip
+    that leaves both sides nonempty and takes the first strictly best one,
+    for at most 4n rounds."""
+    cur = P
+    cur_q = partition_quality(G, cur).quality
+    for _ in range(4 * G.n):
+        best, best_q = None, cur_q
+        for v in range(G.n):
+            sides = list(cur.sides)
+            sides[v] = 3 - sides[v]
+            if sides.count(cur.sides[v]) == 0:
+                continue
+            cand = Bipartition(tuple(sides))
+            q = partition_quality(G, cand).quality
+            if q > best_q:
+                best, best_q = cand, q
+        if best is None:
+            return cur
+        cur, cur_q = best, best_q
+    return cur
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Graph construction, products, pattern detection, and the text format."""
 
+import itertools
+import random
+
 import pytest
 
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
@@ -92,6 +95,40 @@ def test_pattern_detection_subgraph_vs_induced():
     # induced semantics: K4 contains the diamond only as a subgraph
     assert is_pattern_free(complete(4), ["diamond"])
     assert not is_pattern_free(build_named("K5-e"), ["diamond"])
+
+
+def _embeds_brute_force(G, pattern, induced):
+    """Try every injective map of pattern vertices into G."""
+    pairs = list(itertools.combinations(range(pattern.n), 2))
+    for image in itertools.permutations(range(G.n), pattern.n):
+        for a, b in pairs:
+            in_pattern = b in pattern.adj[a]
+            in_g = image[b] in G.adj[image[a]]
+            if in_pattern and not in_g or induced and in_g and not in_pattern:
+                break
+        else:
+            return True
+    return False
+
+
+def test_pattern_detection_matches_brute_force():
+    from degratio.graph import contains_induced, contains_subgraph
+    patterns = [complete(2), path(3), cycle(3), path(4), cycle(4),
+                build_named("claw"), build_named("diamond"), complete(4),
+                graph_from_edges(3, [(0, 1)]),            # K2 + K1
+                graph_from_edges(4, [(0, 1), (2, 3)]),    # 2K2
+                graph_from_edges(4, [(0, 1), (1, 2)])]    # P3 + K1
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        p = rng.random()
+        G = graph_from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if rng.random() < p])
+        for pattern in patterns:
+            assert contains_subgraph(G, pattern) == \
+                _embeds_brute_force(G, pattern, induced=False), (G.adj, pattern)
+            assert contains_induced(G, pattern) == \
+                _embeds_brute_force(G, pattern, induced=True), (G.adj, pattern)
 
 
 def test_isomorphism_negative():

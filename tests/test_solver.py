@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_matching_cut, naive_q
+from conftest import naive_climb, naive_matching_cut, naive_q
 from degratio.catalog import product_pairs, random_connected_graph
 from degratio.errors import BudgetExceededError, ParameterError, \
     PreconditionError
+from degratio.formulas import edge_upper_bound
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges, path)
-from degratio.ratios import partition_quality
-from degratio.solver import (decide, find_matching_cut, lift_partition,
-                             product_matching_cut, solve_q)
+from degratio.ratios import Bipartition, partition_quality
+from degratio.solver import (_hill_climb, decide, find_matching_cut,
+                             lift_partition, product_matching_cut, solve_q)
 
 
 @settings(max_examples=50, deadline=None)
@@ -28,6 +29,35 @@ def test_solver_matches_enumeration_oracle(seed):
     res = solve_q(G)
     assert res.q == expected
     assert partition_quality(G, res.optimal_partition).quality == res.q
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_hill_climb_matches_reference(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    if data.draw(st.booleans()):  # a singleton side
+        lone = data.draw(st.integers(0, n - 1))
+        sides = [1 if v == lone else 2 for v in range(n)]
+    else:
+        sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+        if len(set(sides)) == 1:
+            sides[0] = 3 - sides[0]
+    start = Bipartition(tuple(sides))
+    assert _hill_climb(G, start) == naive_climb(G, start)
+
+
+@pytest.mark.parametrize("G, start", [
+    (complete(2), "12"),
+    (graph_from_edges(2, []), "21"),
+    (path(3), "211"),
+    (path(3), "121"),
+    (complete_bipartite(1, 4), "12222"),
+    (complete(5), "22221"),
+])
+def test_hill_climb_small_cases(G, start):
+    P = Bipartition.from_string(start)
+    assert _hill_climb(G, P) == naive_climb(G, P)
 
 
 def test_solver_named_values(catalog):
@@ -117,3 +147,35 @@ def test_matching_cut_search_is_not_bounded_by_recursion_limit():
     G = cycle(1100)
     cert = find_matching_cut(G)
     assert cert.has_cut and len(cert.crossing) == 2
+
+
+def test_long_path_seeding_is_cheap():
+    # 149 bridges and 148 cut vertices: about 300 hill-climb seeds for a
+    # search of 299 nodes
+    assert solve_q(path(150)).q == Fraction(2, 3)
+
+
+def test_sparse_200_vertex_graph():
+    # a random tree plus triangle-closing chords: many bridges and cut
+    # vertices, so many hill-climb seeds
+    rng = random.Random(2024)
+    n = 200
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    chords = 0
+    while chords < n // 6:
+        c = rng.randrange(n)
+        if len(adj[c]) < 2:
+            continue
+        a, b = rng.sample(sorted(adj[c]), 2)
+        if b not in adj[a]:
+            adj[a].add(b)
+            adj[b].add(a)
+            chords += 1
+    G = graph_from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+    res = solve_q(G)
+    assert partition_quality(G, res.optimal_partition).quality == res.q
+    assert res.q <= edge_upper_bound(G)
