@@ -5,7 +5,22 @@ All three ask for a nontrivial partition in which each vertex v has at most
 cap[v] neighbors on the other side.  The search fixes vertex 0 on side 1
 (complement symmetry halves the space) and abandons a branch as soon as an
 assigned vertex exceeds its cap; undecided neighbors are assumed to land on
-its side, so the pruning is admissible.  The caps are:
+its side, so the pruning is admissible.
+
+It also breaks twin symmetry.  True twins (N[u] = N[w]) and false twins
+(N(u) = N(w)) can be swapped by an automorphism, and every question asked
+here is invariant under automorphisms: the caps depend only on the degree,
+and so do ratio, quality and matching-cut.  So inside each twin class,
+taken in search order, a later twin never goes on side 1 while an earlier
+one is on side 2: sorting each class by side maps any partition to an
+equivalent one that obeys the rule.  The two rules agree because vertex 0
+comes first in the search order, hence first in its class, and a partition
+with vertex 0 on side 1 keeps it there once each class is sorted.  No
+vertex has both a true twin w and a false twin x (w in N(u) = N(x) gives
+x in N[w] = N[u], so x in N(u) = N(x)), so the classes of both kinds are
+disjoint.  On K20 this takes the search from 184,775 nodes to 120.
+
+The caps are:
 
 - ``decide(G, q)``: ``d[v] * (den - num) // den``, i.e. ratio >= q;
 - matching-cut: 1;
@@ -188,9 +203,25 @@ def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
 # -- the search engine -----------------------------------------------------
 
 
+def _twin_before(G: Graph, order: list[int]) -> list[int]:
+    """For each depth i, the vertex at the latest depth before i that is a
+    true or false twin of ``order[i]``, or -1 when there is none."""
+    last_open: dict[frozenset[int], int] = {}
+    last_closed: dict[frozenset[int], int] = {}
+    twin = [-1] * len(order)
+    for i, v in enumerate(order):
+        for last, key in ((last_open, G.adj[v]), (last_closed, G.adj[v] | {v})):
+            w = last.get(key, -1)
+            if w >= 0:
+                twin[i] = w
+            last[key] = v
+    return twin
+
+
 def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     """Depth-first search over side assignments in BFS order, with vertex 0
-    fixed on side 1.
+    fixed on side 1, and no vertex on side 1 while its previous twin in that
+    order is on side 2 (see the module docstring for why this loses nothing).
 
     A branch dies as soon as some assigned vertex v has more than ``cap[v]``
     neighbors on the other side.  At each complete assignment with both
@@ -204,6 +235,7 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     """
     n = G.n
     order = _bfs_order(G)
+    twin = _twin_before(G, order)
     adjl = [sorted(G.adj[v]) for v in range(n)]
     side = [0] * n
     cross = [0] * n
@@ -243,7 +275,8 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                 count2 += 1
             i += 1
             if i < n:
-                nxt[i] = 1
+                w = twin[i]  # side 1 only while the previous twin is there
+                nxt[i] = side[w] if w >= 0 else 1
             elif count2:
                 sides = tuple(side)
                 if on_leaf(sides):
@@ -262,40 +295,59 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
             cross[u] -= 1
 
 
+def _min_ratio(adjl, d1: list[int], sides) -> tuple[int, int]:
+    """The quality of a partition as an unreduced ratio (kept, d1): the
+    smallest share of a closed neighborhood kept on its own side."""
+    bk = bd = 1
+    for a, s, d in zip(adjl, sides, d1):
+        k = 1 + [sides[u] for u in a].count(s)
+        if k * bd < bk * d:
+            bk, bd = k, d
+    return bk, bd
+
+
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exact optimum of the degree ratio over all nontrivial bipartitions."""
+    """Exact optimum of the degree ratio over all nontrivial bipartitions.
+
+    ``method`` is ``"upper_bound_met"`` when the best seed already reaches
+    the edge upper bound and no search ran, and ``"pruned_search"`` otherwise;
+    the search, too, stops at the first leaf that reaches the bound.
+    """
+    adjl = [tuple(a) for a in G.adj]
+    d1 = [len(a) + 1 for a in adjl]
     seeds = _seed_partitions(G, budget)
     best_part = seeds[0]
-    best_q = partition_quality(G, best_part).quality
+    bk, bd = _min_ratio(adjl, d1, best_part.sides)
     for p in seeds[1:]:
-        q = partition_quality(G, p).quality
-        if q > best_q:
-            best_part, best_q = p, q
-    if best_q == 1:  # disconnected optimum, nothing can beat it
-        return SolveResult(best_q, best_part, 0, "pruned_search")
+        k, d = _min_ratio(adjl, d1, p.sides)
+        if k * bd > bk * d:
+            best_part, bk, bd = p, k, d
+    if bk == bd:  # disconnected optimum, nothing can beat it
+        return SolveResult(Fraction(1), best_part, 0, "pruned_search")
+    # the edge upper bound max_uv min(d(u)/d[u], d(v)/d[v]) is (top - 1)/top
+    top = max(min(d1[u], d1[v]) for u, a in enumerate(adjl) for v in a)
+    if bk * top == (top - 1) * bd:
+        return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
 
-    d1 = [G.closed_degree(v) for v in range(G.n)]
     cap: list[int] = []
 
-    def require_better_than(q: Fraction):
-        # kept/d1 > q  <=>  cross <= (d1 * (den - num) - 1) // den
-        num, den = q.numerator, q.denominator
+    def require_better_than(num: int, den: int):
+        # kept/d1 > num/den  <=>  cross <= (d1 * (den - num) - 1) // den
         cap[:] = [(d * (den - num) - 1) // den for d in d1]
 
     def improve(sides) -> bool:
         # a lowered cap is checked only where a cross count changes later,
         # so a leaf can fall short of an incumbent found after its prefix
-        nonlocal best_part, best_q
-        cand = Bipartition(sides)
-        q = partition_quality(G, cand).quality
-        if q > best_q:
-            best_part, best_q = cand, q
-            require_better_than(q)
-        return False
+        nonlocal best_part, bk, bd
+        k, d = _min_ratio(adjl, d1, sides)
+        if k * bd > bk * d:
+            best_part, bk, bd = Bipartition(sides), k, d
+            require_better_than(k, d)
+        return bk * top == (top - 1) * bd  # nothing beats the upper bound
 
-    require_better_than(best_q)
+    require_better_than(bk, bd)
     explored, _ = _search(G, cap, budget, improve)
-    return SolveResult(best_q, best_part, explored, "pruned_search")
+    return SolveResult(Fraction(bk, bd), best_part, explored, "pruned_search")
 
 
 # -- the decision problem ---------------------------------------------------
@@ -306,13 +358,16 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
     first witness."""
     if not 0 < q <= 1:
         raise ParameterError(f"threshold must satisfy 0 < q <= 1, got {q}")
+    adjl = [tuple(a) for a in G.adj]
+    d1 = [len(a) + 1 for a in adjl]
+    num, den = q.numerator, q.denominator
     for p in _seed_partitions(G, budget):
-        if partition_quality(G, p).quality >= q:
+        k, d = _min_ratio(adjl, d1, p.sides)
+        if k * den >= num * d:
             return DecideResult(True, p, 0)
 
     # kept/d1 >= q  <=>  cross <= d1 * (den - num) // den
-    num, den = q.numerator, q.denominator
-    cap = [G.closed_degree(v) * (den - num) // den for v in range(G.n)]
+    cap = [d * (den - num) // den for d in d1]
     explored, sides = _search(G, cap, budget, lambda sides: True)
     if sides is None:
         return DecideResult(False, None, explored)

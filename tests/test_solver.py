@@ -14,10 +14,13 @@ from degratio.errors import BudgetExceededError, ParameterError, \
     PreconditionError
 from degratio.formulas import edge_upper_bound
 from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, cycle, graph_from_edges, path)
-from degratio.ratios import Bipartition, partition_quality
-from degratio.solver import (_hill_climb, decide, find_matching_cut,
-                             lift_partition, product_matching_cut, solve_q)
+                            complete_bipartite, cycle, graph_from_edges,
+                            k_triangle, path)
+from degratio.ratios import (Bipartition, crossing_edges, is_matching,
+                             partition_quality)
+from degratio.solver import (_hill_climb, _min_ratio, decide,
+                             find_matching_cut, lift_partition,
+                             product_matching_cut, solve_q)
 
 
 @settings(max_examples=50, deadline=None)
@@ -58,6 +61,78 @@ def test_hill_climb_matches_reference(n, data):
 def test_hill_climb_small_cases(G, start):
     P = Bipartition.from_string(start)
     assert _hill_climb(G, P) == naive_climb(G, P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 9), data=st.data())
+def test_min_ratio_matches_partition_quality(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    if len(set(sides)) == 1:
+        sides[0] = 3 - sides[0]
+    adjl = [tuple(a) for a in G.adj]
+    k, d = _min_ratio(adjl, [len(a) + 1 for a in adjl], sides)
+    assert Fraction(k, d) == partition_quality(G, Bipartition(tuple(sides))).quality
+
+
+def _blow_up(rng: random.Random, max_n: int):
+    """A random connected base graph whose vertices each become 1-3 copies,
+    forming a clique (true twins) or an independent set (false twins), with
+    the vertices then relabelled at random so vertex 0 may have twins."""
+    while True:
+        base = random_connected_graph(rng, rng.randint(2, 5), p=rng.uniform(0.3, 0.9))
+        copies = [rng.randint(1, 3) for _ in range(base.n)]
+        if sum(copies) <= max_n:
+            break
+    n = sum(copies)
+    labels = iter(rng.sample(range(n), n))
+    blocks = [[next(labels) for _ in range(c)] for c in copies]
+    edges = []
+    for b, block in enumerate(blocks):
+        if rng.random() < 0.5:
+            edges += [(u, w) for i, u in enumerate(block) for w in block[i + 1:]]
+        for a in base.adj[b]:
+            if a > b:
+                edges += [(u, w) for u in block for w in blocks[a]]
+    return graph_from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_twin_rule_matches_oracles_on_blow_ups(seed):
+    G = _blow_up(random.Random(seed), 14)
+    q, _ = naive_q(G)
+    res = solve_q(G)
+    assert res.q == q
+    assert partition_quality(G, res.optimal_partition).quality == q
+    yes = decide(G, q)
+    assert yes and partition_quality(G, yes.witness).quality >= q
+    assert not decide(G, q + Fraction(1, G.n * (G.n + 1)))
+    cert = find_matching_cut(G, use_product_rule=False)
+    assert cert.has_cut == naive_matching_cut(G)
+    if cert.has_cut:
+        assert is_matching(G, crossing_edges(G, cert.partition))
+
+
+@pytest.mark.parametrize("G, q", [
+    (complete(20), Fraction(1, 2)),
+    (complete_bipartite(8, 9), Fraction(1, 2)),
+    (k_triangle(16), Fraction(1, 2)),
+])
+def test_twin_classes_keep_the_search_small(G, q):
+    # the search without twin symmetry breaking visits 184,775, 2,817 and
+    # 25,773 nodes here
+    res = solve_q(G)
+    assert res.q == q and res.method == "pruned_search"
+    assert res.explored < 1000
+
+
+@pytest.mark.parametrize("G", [path(16), cycle(9), build_named("prism")])
+def test_search_skipped_when_seed_meets_edge_upper_bound(G):
+    res = solve_q(G)
+    assert res.q == edge_upper_bound(G)
+    assert res.method == "upper_bound_met" and res.explored == 0
 
 
 def test_solver_named_values(catalog):
@@ -106,7 +181,6 @@ def test_matching_cut_matches_oracle(seed):
     cert = find_matching_cut(G)
     assert cert.has_cut == naive_matching_cut(G)
     if cert.has_cut:
-        from degratio.ratios import crossing_edges, is_matching
         assert is_matching(G, crossing_edges(G, cert.partition))
 
 
@@ -121,14 +195,12 @@ def test_product_matching_cut_rule_both_directions():
         direct = find_matching_cut(P, use_product_rule=False)
         assert rule.has_cut == direct.has_cut, (G.name, H.name)
         if rule.has_cut:
-            from degratio.ratios import crossing_edges, is_matching
             assert is_matching(P, crossing_edges(P, rule.partition))
 
 
 def test_lift_partition_fiberwise():
     G, H = complete(4), cycle(4)
     P = cartesian_product(G, H)
-    from degratio.ratios import Bipartition
     hp = Bipartition.from_string("1122")
     lifted = lift_partition(P, hp, "right")
     for g in range(G.n):
