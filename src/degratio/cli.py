@@ -153,7 +153,8 @@ def cmd_matching_cut(args) -> int:
 def cmd_bound(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    lb = class_lower_bound(G, budget=_budget(args))
+    budget = _budget(args)
+    lb = class_lower_bound(G, budget=budget)
     ub = edge_upper_bound(G)
     rel = "<" if lb.strict else "<="
     payload = {"lower": format_ratio(lb.value), "strict": lb.strict,
@@ -161,14 +162,18 @@ def cmd_bound(args) -> int:
     lines = [f"{format_ratio(lb.value)} {rel} q(G) <= {format_ratio(ub)}",
              f"lower-bound rules: {', '.join(lb.rules)}"]
     try:
-        w = lower_bound_witness(G)
+        w = lower_bound_witness(G, budget=budget)
         payload["witness"] = {"partition": w.partition.to_string(),
                               "quality": format_ratio(w.quality),
                               "rule": w.rule}
         lines.append(f"witness = {w.partition.to_string()} "
                      f"(quality {format_ratio(w.quality)}, rule {w.rule})")
-    except (PreconditionError, BudgetExceededError):
+    except PreconditionError:
         pass
+    except BudgetExceededError as exc:
+        # both printed bounds stay exact; only the witness is missing
+        payload["witness"] = None
+        lines.append(f"witness = none ({exc})")
     return _report(args, "bound", G, payload, True, started, lines)
 
 

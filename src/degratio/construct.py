@@ -3,10 +3,12 @@ good-pair construction and its extension to a full partition, and
 connectivity-based partitions.
 
 The partition-existence theorems behind the degree-constrained demands are
-non-constructive; here a potential-guided local search does the work, with
-an exhaustive fallback for graphs up to 22 vertices.  A demand regime whose
-preconditions hold but whose exhaustive search comes up empty is a fatal
-internal error, never a silent miss.
+non-constructive.  A potential-guided local search runs first, from an
+alternating start and then from the solver's seed partitions; when every
+start stalls, the solver's one partition search finishes the job under the
+caller's budget, with cap d(v) - f(v) on each vertex.  A demand regime
+whose preconditions hold but whose exhaustive search comes up empty is a
+fatal internal error, never a silent miss.
 """
 
 from __future__ import annotations
@@ -16,17 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 from .formulas import _theorem_classes, two_fifths_family
-from .graph import (Graph, adjacency_masks, connectivity, cut_splits, cycle,
-                    is_connected, is_isomorphic, regularity)
+from .graph import (Graph, connectivity, cut_splits, cycle, is_connected,
+                    is_isomorphic, regularity)
 from .ratios import Bipartition, partition_quality
-from .solver import DEFAULT_BUDGET, solve_q
+from .solver import DEFAULT_BUDGET, _search, _seed_partitions, solve_q
 
 log = logging.getLogger(__name__)
-
-_EXHAUSTIVE_LIMIT = 22
-_ITERATION_FACTOR = 50
 
 
 # -- degree-constrained partitions ------------------------------------------
@@ -34,42 +33,45 @@ _ITERATION_FACTOR = 50
 
 @dataclass(frozen=True)
 class DegreeDemands:
-    """Per-vertex inner-degree demands under one of three regimes.
+    """Per-vertex inner-degree demands f under one of three regimes.
 
-    stiebitz: d(x) >= f1(x) + f2(x) + 1, any graph;
-    hou:      d(x) >= f1(x) + f2(x), demands >= 1, no K4-e+v subgraph;
-    ma:       d(x) >= f1(x) + f2(x) - 1, demands >= 2, either no
+    stiebitz: d(x) >= 2f(x) + 1, any graph;
+    hou:      d(x) >= 2f(x), demands >= 1, no K4-e+v subgraph;
+    ma:       d(x) >= 2f(x) - 1, demands >= 2, either no
               C4/K4/diamond subgraph or no K3/C8/K23 subgraph.
+
+    The theorems allow different demands f1, f2 on the two sides; every
+    regime here uses f1 = f2 = f, so the complement of a demand partition
+    is one too.
     """
 
-    f1: tuple[int, ...]
-    f2: tuple[int, ...]
+    f: tuple[int, ...]
     regime: str
 
     def validate(self, G: Graph):
-        if len(self.f1) != G.n or len(self.f2) != G.n:
-            raise ParameterError("demand vectors must cover every vertex")
-        if any(x < 0 for x in self.f1 + self.f2):
+        if len(self.f) != G.n:
+            raise ParameterError("the demand vector must cover every vertex")
+        if any(x < 0 for x in self.f):
             raise ParameterError("demands must be nonnegative")
-        degs = [G.degree(v) for v in range(G.n)]
+        slack = [G.degree(v) - 2 * self.f[v] for v in range(G.n)]  # d - 2f
         if self.regime == "stiebitz":
-            bad = [v for v in range(G.n) if degs[v] < self.f1[v] + self.f2[v] + 1]
+            bad = [v for v in range(G.n) if slack[v] < 1]
             if bad:
-                raise PreconditionError(f"d(x) >= f1+f2+1 fails at {bad[0]}")
+                raise PreconditionError(f"d(x) >= 2f+1 fails at {bad[0]}")
         elif self.regime == "hou":
-            if any(x < 1 for x in self.f1 + self.f2):
+            if any(x < 1 for x in self.f):
                 raise PreconditionError("hou regime needs demands >= 1")
-            bad = [v for v in range(G.n) if degs[v] < self.f1[v] + self.f2[v]]
+            bad = [v for v in range(G.n) if slack[v] < 0]
             if bad:
-                raise PreconditionError(f"d(x) >= f1+f2 fails at {bad[0]}")
+                raise PreconditionError(f"d(x) >= 2f fails at {bad[0]}")
             if not _theorem_classes(G)["k4ev_free"]:
                 raise PreconditionError("hou regime needs a K4-e+v-subgraph-free graph")
         elif self.regime == "ma":
-            if any(x < 2 for x in self.f1 + self.f2):
+            if any(x < 2 for x in self.f):
                 raise PreconditionError("ma regime needs demands >= 2")
-            bad = [v for v in range(G.n) if degs[v] < self.f1[v] + self.f2[v] - 1]
+            bad = [v for v in range(G.n) if slack[v] < -1]
             if bad:
-                raise PreconditionError(f"d(x) >= f1+f2-1 fails at {bad[0]}")
+                raise PreconditionError(f"d(x) >= 2f-1 fails at {bad[0]}")
             if not _theorem_classes(G)["sparse_free"]:
                 raise PreconditionError(
                     "ma regime needs a (C4,K4,diamond)- or (K3,C8,K23)-subgraph-free graph")
@@ -78,99 +80,75 @@ class DegreeDemands:
 
 
 def stiebitz_demands(G: Graph) -> DegreeDemands:
-    f = tuple((G.degree(v) - 1) // 2 for v in range(G.n))
-    return DegreeDemands(f, f, "stiebitz")
+    return DegreeDemands(tuple((G.degree(v) - 1) // 2 for v in range(G.n)), "stiebitz")
 
 
 def hou_demands(G: Graph) -> DegreeDemands:
-    f = tuple(G.degree(v) // 2 for v in range(G.n))
-    return DegreeDemands(f, f, "hou")
+    return DegreeDemands(tuple(G.degree(v) // 2 for v in range(G.n)), "hou")
 
 
 def ma_demands(G: Graph) -> DegreeDemands:
-    f = tuple((G.degree(v) + 1) // 2 for v in range(G.n))
-    return DegreeDemands(f, f, "ma")
+    return DegreeDemands(tuple((G.degree(v) + 1) // 2 for v in range(G.n)), "ma")
 
 
 def demands_satisfied(G: Graph, demands: DegreeDemands, P: Bipartition) -> bool:
-    for v in range(G.n):
-        inner = sum(1 for u in G.adj[v] if P.sides[u] == P.sides[v])
-        need = demands.f1[v] if P.sides[v] == 1 else demands.f2[v]
-        if inner < need:
-            return False
-    return True
+    return all(sum(1 for u in G.adj[v] if P.sides[u] == P.sides[v]) >= demands.f[v]
+               for v in range(G.n))
 
 
-def _exhaustive_demand_search(G: Graph, demands: DegreeDemands) -> Bipartition | None:
-    masks = adjacency_masks(G)
+def _demand_climb(G: Graph, f: tuple[int, ...], P: Bipartition) -> Bipartition | None:
+    """Local search from P: move the first vertex, in index order, that has
+    fewer than f(v) neighbors on its side and whose side keeps another
+    vertex.  None when it stalls with a vertex short of its demand.
+
+    A move of v raises e(V1) + e(V2) by d(v) - 2 * inner(v) >= 1 under every
+    regime of :meth:`DegreeDemands.validate`, so there are at most m moves.
+    """
     n = G.n
-    f1, f2 = demands.f1, demands.f2
-    for mask in range(1, (1 << n) - 1):
-        ok = True
-        for v in range(n):
-            inner = (masks[v] & mask).bit_count() if mask >> v & 1 \
-                else (masks[v] & ~mask).bit_count()
-            need = f1[v] if mask >> v & 1 else f2[v]
-            if inner < need:
-                ok = False
-                break
-        if ok:
-            return Bipartition.from_mask(n, mask)
-    return None
+    side = list(P.sides)
+    size = [0, side.count(1), side.count(2)]
+    inner = [sum(1 for u in G.adj[v] if side[u] == side[v]) for v in range(n)]
+    while True:
+        v = next((v for v in range(n) if inner[v] < f[v] and size[side[v]] > 1), -1)
+        if v < 0:
+            break
+        size[side[v]] -= 1
+        side[v] = 3 - side[v]
+        size[side[v]] += 1
+        inner[v] = G.degree(v) - inner[v]
+        for u in G.adj[v]:
+            inner[u] += 1 if side[u] == side[v] else -1
+    if any(inner[v] < f[v] for v in range(n)):
+        return None
+    return Bipartition(tuple(side))
 
 
-def degree_constrained_partition(G: Graph, demands: DegreeDemands) -> Bipartition:
-    """A nontrivial partition with inner degree >= f_i(x) on each side.
+def degree_constrained_partition(G: Graph, demands: DegreeDemands,
+                                 budget: int = DEFAULT_BUDGET) -> Bipartition:
+    """A nontrivial partition in which each vertex v has at least f(v)
+    neighbors on its own side.
 
-    Local search moves a deficient vertex across; the move strictly raises
-    the potential e(V1) + e(V2) - sum of demands on the occupied sides, so
-    the loop terminates.  When it stalls on side-emptiness (or hits the
-    iteration cap) an exhaustive scan takes over for n <= 22.
+    The local search runs from the alternating start, then from each seed
+    partition of the solver (computed only when the first start stalls).
+    When every start stalls, the partition search with cap d(v) - f(v)
+    decides; it raises :class:`BudgetExceededError` past ``budget``.
     """
     demands.validate(G)
     n = G.n
-    sides = [1 if i % 2 == 0 else 2 for i in range(n)]
-    count = [0, n - n // 2, n // 2]
-    cap = _ITERATION_FACTOR * n * n
-
-    def deficiency(v):
-        inner = sum(1 for u in G.adj[v] if sides[u] == sides[v])
-        need = demands.f1[v] if sides[v] == 1 else demands.f2[v]
-        return need - inner
-
-    stalled = False
-    for _ in range(cap):
-        moved = False
-        for v in range(n):
-            if deficiency(v) > 0:
-                if count[sides[v]] == 1:
-                    stalled = True
-                    continue
-                count[sides[v]] -= 1
-                sides[v] = 3 - sides[v]
-                count[sides[v]] += 1
-                moved = True
-                stalled = False
-                break
-        if not moved:
-            break
-    else:
-        stalled = True
-
-    if not stalled:
-        P = Bipartition(tuple(sides))
-        if demands_satisfied(G, demands, P):
+    P = _demand_climb(G, demands.f, Bipartition(tuple(1 + i % 2 for i in range(n))))
+    if P is not None:
+        return P
+    for seed in _seed_partitions(G, budget):
+        P = _demand_climb(G, demands.f, seed)
+        if P is not None:
             return P
-
-    if n > _EXHAUSTIVE_LIMIT:
-        raise BudgetExceededError(
-            f"local search stalled and n={n} exceeds the exhaustive range")
-    P = _exhaustive_demand_search(G, demands)
-    if P is None:
+    cap = [G.degree(v) - demands.f[v] for v in range(n)]
+    _, sides = _search(G, cap, budget, lambda sides: True)
+    if sides is None:
         raise RuntimeError(
             f"no demand-feasible partition exists under regime {demands.regime!r} "
             "although its preconditions hold")
-    return P
+    return Bipartition(sides)
 
 
 @dataclass(frozen=True)
@@ -182,9 +160,11 @@ class LowerBoundWitness:
     quality: Fraction
 
 
-def lower_bound_witness(G: Graph) -> LowerBoundWitness:
+def lower_bound_witness(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBoundWitness:
     """Strongest applicable class bound together with a partition realizing
-    it, built from the matching demand functions."""
+    it, built from the matching demand functions.  Raises
+    :class:`BudgetExceededError` when the partition search needs more than
+    ``budget`` assignments."""
     if not is_connected(G):
         raise PreconditionError("lower bound witness needs a connected graph")
     classes = _theorem_classes(G)
@@ -203,7 +183,7 @@ def lower_bound_witness(G: Graph) -> LowerBoundWitness:
         else:
             value = Fraction(1, 2)
         strict, rule = False, "lowbound"
-    P = degree_constrained_partition(G, demands)
+    P = degree_constrained_partition(G, demands, budget)
     quality = partition_quality(G, P).quality
     if quality < value or (strict and quality <= value):
         raise AssertionError(

@@ -76,10 +76,6 @@ class Graph:
     def relabel(self, name: str) -> "Graph":
         return Graph(self.n, self.adj, name=name, factors=self.factors)
 
-    def without_provenance(self) -> "Graph":
-        """Drop product provenance so searches run on the raw graph."""
-        return Graph(self.n, self.adj, name=self.name, factors=None)
-
     def __repr__(self):
         label = self.name or f"graph"
         return f"<{label}: n={self.n} m={self.num_edges}>"
@@ -96,11 +92,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None 
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(frozenset(s) for s in adj), name=name, factors=factors)
-
-
-def adjacency_masks(G: Graph) -> list[int]:
-    """Neighbor sets as integer bitmasks, for the search engines."""
-    return [sum(1 << u for u in G.adj[v]) for v in range(G.n)]
 
 
 # -- connectivity -----------------------------------------------------------
@@ -214,11 +205,6 @@ def cut_splits(G: Graph) -> list[frozenset[int]]:
     return splits
 
 
-def is_biconnected(G: Graph) -> bool:
-    conn = connectivity(G)
-    return len(conn.components) == 1 and not conn.cut_vertices and G.n >= 3
-
-
 def is_tree(G: Graph) -> bool:
     return is_connected(G) and G.num_edges == G.n - 1
 
@@ -247,16 +233,6 @@ def bipartition_classes(G: Graph) -> tuple[frozenset[int], frozenset[int]] | Non
                     return None
     return (frozenset(v for v in range(G.n) if color[v] == 0),
             frozenset(v for v in range(G.n) if color[v] == 1))
-
-
-def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph and the list mapping new labels to old ones."""
-    order = sorted(set(vertices))
-    if len(order) < 2:
-        raise ParameterError("induced subgraph needs at least 2 vertices")
-    index = {v: i for i, v in enumerate(order)}
-    edges = [(index[u], index[v]) for u in order for v in G.adj[u] if v in index and u < v]
-    return graph_from_edges(len(order), edges), order
 
 
 # -- complement and products ------------------------------------------------
@@ -297,19 +273,6 @@ def cartesian_product(G: Graph, H: Graph) -> Graph:
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
     return graph_from_edges(G.n * H.n, edges, name=name, factors=(G, H))
-
-
-def product_vertex(P: Graph, g: int, h: int) -> int:
-    if P.factors is None:
-        raise PreconditionError("graph has no product provenance")
-    return g * P.factors[1].n + h
-
-
-def product_coords(P: Graph, v: int) -> tuple[int, int]:
-    if P.factors is None:
-        raise PreconditionError("graph has no product provenance")
-    nh = P.factors[1].n
-    return divmod(v, nh)
 
 
 def fiber(P: Graph, which: str, anchor: int) -> tuple[int, ...]:
@@ -440,7 +403,8 @@ def build_named(name: str) -> Graph:
     """Resolve a string id to a graph.
 
     Accepted forms: ``K<n>`` clique (two digits mean a complete bipartite
-    K_{m,n}, e.g. K33), ``K5-e`` clique minus an edge, ``C<n>`` cycle,
+    K_{m,n}, e.g. K33), ``K_<n>`` clique on any n >= 2 vertices (e.g.
+    K_12), ``K5-e`` clique minus an edge, ``C<n>`` cycle,
     ``P<n>`` path, ``T<k>`` k-triangle, ``W<n>`` wheel, the fixed names
     claw / diamond / K4ev / coK2claw / prism / cube / wagner / petersen,
     and ``prod:<a>,<b>`` for a cartesian product of two named graphs.
@@ -460,9 +424,17 @@ def build_named(name: str) -> Graph:
         base = complete(k)
         edges = [e for e in base.edges() if e != (0, 1)]
         return graph_from_edges(k, edges, name=f"K{k}-e")
+    m = re.fullmatch(r"K_(\d+)", name)
+    if m:
+        return complete(int(m.group(1))).relabel(name)
     m = re.fullmatch(r"K(\d)(\d)", name)
     if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
+        a, b = int(m.group(1)), int(m.group(2))
+        if a and not b:
+            raise ParameterError(
+                f"{name} names K_{{{a},0}}, which has an empty part; "
+                f"the clique on {name[1:]} vertices is K_{name[1:]}")
+        return complete_bipartite(a, b)
     m = re.fullmatch(r"K(\d+)", name)
     if m:
         return complete(int(m.group(1)))

@@ -61,9 +61,6 @@ class Bipartition:
     def side(self, i: int) -> frozenset[int]:
         return frozenset(v for v, s in enumerate(self.sides) if s == i)
 
-    def side_of(self, v: int) -> int:
-        return self.sides[v]
-
     def to_string(self) -> str:
         return "".join(str(s) for s in self.sides)
 

@@ -1,16 +1,20 @@
 """Exact computation of the optimal degree ratio q(G), the decision
-"q(G) >= q", and matching-cut detection, by one partition search.
+"q(G) >= q", and matching-cut detection, by one partition search; the
+degree-constrained partitions of ``construct`` use the same search.
 
-All three ask for a nontrivial partition in which each vertex v has at most
-cap[v] neighbors on the other side.  The search fixes vertex 0 on side 1
-(complement symmetry halves the space) and abandons a branch as soon as an
-assigned vertex exceeds its cap; undecided neighbors are assumed to land on
-its side, so the pruning is admissible.
+Each asks for a nontrivial partition in which each vertex v has at most
+cap[v] neighbors on the other side.  The caps do not depend on the side, so
+the search fixes vertex 0 on side 1 (complement symmetry halves the space).
+It abandons a branch as soon as an assigned vertex exceeds its cap;
+undecided neighbors are assumed to land on its side, so the pruning is
+admissible.
 
 It also breaks twin symmetry.  True twins (N[u] = N[w]) and false twins
 (N(u) = N(w)) can be swapped by an automorphism, and every question asked
-here is invariant under automorphisms: the caps depend only on the degree,
-and so do ratio, quality and matching-cut.  So inside each twin class,
+here is invariant under an automorphism that keeps the caps.  Twins have
+equal degrees, so the caps of ``decide``, matching-cut and ``solve_q``
+agree on them, but two twins may have different degree demands.  So a
+twin class is taken only among twins with equal caps.  Inside each class,
 taken in search order, a later twin never goes on side 1 while an earlier
 one is on side 2: sorting each class by side maps any partition to an
 equivalent one that obeys the rule.  The two rules agree because vertex 0
@@ -24,6 +28,8 @@ The caps are:
 
 - ``decide(G, q)``: ``d[v] * (den - num) // den``, i.e. ratio >= q;
 - matching-cut: 1;
+- a degree demand f(v), "v keeps at least f(v) neighbors on its side":
+  ``d(v) - f(v)``;
 - ``solve_q``: ``(d[v] * (den - num) - 1) // den`` for the incumbent's
   num/den, i.e. strictly better; the caps are lowered after each improving
   leaf, which makes the search a branch and bound.
@@ -203,14 +209,16 @@ def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
 # -- the search engine -----------------------------------------------------
 
 
-def _twin_before(G: Graph, order: list[int]) -> list[int]:
+def _twin_before(G: Graph, order: list[int], cap: list[int]) -> list[int]:
     """For each depth i, the vertex at the latest depth before i that is a
-    true or false twin of ``order[i]``, or -1 when there is none."""
-    last_open: dict[frozenset[int], int] = {}
-    last_closed: dict[frozenset[int], int] = {}
+    true or false twin of ``order[i]`` with the same cap, or -1 when there is
+    none."""
+    last_open: dict[tuple[frozenset[int], int], int] = {}
+    last_closed: dict[tuple[frozenset[int], int], int] = {}
     twin = [-1] * len(order)
     for i, v in enumerate(order):
-        for last, key in ((last_open, G.adj[v]), (last_closed, G.adj[v] | {v})):
+        for last, key in ((last_open, (G.adj[v], cap[v])),
+                          (last_closed, (G.adj[v] | {v}, cap[v]))):
             w = last.get(key, -1)
             if w >= 0:
                 twin[i] = w
@@ -220,8 +228,9 @@ def _twin_before(G: Graph, order: list[int]) -> list[int]:
 
 def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     """Depth-first search over side assignments in BFS order, with vertex 0
-    fixed on side 1, and no vertex on side 1 while its previous twin in that
-    order is on side 2 (see the module docstring for why this loses nothing).
+    fixed on side 1, and no vertex on side 1 while its previous twin with
+    the same cap in that order is on side 2 (see the module docstring for
+    why this loses nothing).
 
     A branch dies as soon as some assigned vertex v has more than ``cap[v]``
     neighbors on the other side.  At each complete assignment with both
@@ -235,7 +244,7 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     """
     n = G.n
     order = _bfs_order(G)
-    twin = _twin_before(G, order)
+    twin = _twin_before(G, order, cap)
     adjl = [sorted(G.adj[v]) for v in range(n)]
     side = [0] * n
     cross = [0] * n

@@ -152,7 +152,7 @@ def suite_good_pair(max_n: int = 9, seed: int = 1,
         results.append(_result("good-pair", "extension-quality", G,
                                quality >= Fraction(3, 7),
                                f"case={gp.case} quality={quality}"))
-        w = lower_bound_witness(G)
+        w = lower_bound_witness(G, budget=budget)
         results.append(_result("good-pair", "lower-bound-witness", G,
                                w.quality >= w.value,
                                f"rule={w.rule} value={w.value} got={w.quality}"))

@@ -7,10 +7,13 @@ solver is checked against on small instances.
 
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
+from degratio.catalog import random_connected_graph
 from degratio.graph import Graph
 from degratio.ratios import Bipartition, partition_quality
 
@@ -47,6 +50,28 @@ def naive_matching_cut(G: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def naive_demand_partition(G: Graph, f) -> bool:
+    """Ground-truth existence of a nontrivial bipartition in which each
+    vertex v has at least f[v] neighbors on its own side."""
+    nbrs = [sum(1 << u for u in G.adj[v]) for v in range(G.n)]
+    full = (1 << G.n) - 1
+    for mask in range(1, full):
+        if all((nbrs[v] & (mask if mask >> v & 1 else full ^ mask)).bit_count() >= f[v]
+               for v in range(G.n)):
+            return True
+    return False
+
+
+@functools.cache
+def witness_set() -> tuple[Graph, ...]:
+    """Seeded random connected graphs for the lower-bound witnesses: five
+    G(n, p) for each n in (23, 26, 30, 40, 60) and p in (.1, .2, .4, .7),
+    drawn from random.Random(7) in this order."""
+    rng = random.Random(7)
+    return tuple(random_connected_graph(rng, n, p) for n in (23, 26, 30, 40, 60)
+                 for p in (.1, .2, .4, .7) for _ in range(5))
 
 
 def naive_climb(G: Graph, P: Bipartition) -> Bipartition:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import witness_set
 from degratio.cli import main
 from degratio.graph import emit_graph, parse_graph, cycle
 
@@ -17,6 +18,11 @@ def run(capsys, *argv):
 def test_solve_named(capsys):
     code, out, _ = run(capsys, "solve", "--named", "K5")
     assert code == 0 and "q = 2/5" in out
+
+
+def test_solve_named_large_clique(capsys):
+    code, out, _ = run(capsys, "solve", "--named", "K_12")
+    assert code == 0 and "q = 1/2" in out
 
 
 def test_solve_product(capsys):
@@ -56,6 +62,19 @@ def test_matching_cut_output(capsys):
 def test_bound_output(capsys):
     code, out, _ = run(capsys, "bound", "--named", "petersen")
     assert code == 0 and "1/2 < q(G)" in out
+
+
+def test_bound_reports_a_missing_witness(tmp_path, capsys):
+    # the local search stalls from every start here, so the partition
+    # search runs and exceeds the budget
+    f = tmp_path / "dense60.txt"
+    f.write_text(emit_graph(witness_set()[94]))
+    code, out, _ = run(capsys, "bound", str(f), "--budget", "1")
+    assert code == 0 and "q(G) <=" in out
+    assert "witness = none (inexact: budget)" in out
+    code, out, _ = run(capsys, "bound", str(f), "--budget", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["witness"] is None
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

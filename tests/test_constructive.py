@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import witness_set
 from degratio.catalog import base_catalog, random_connected_graph
 from degratio.construct import (DegreeDemands, GoodPair,
                                 connectivity_partition,
@@ -15,7 +16,8 @@ from degratio.construct import (DegreeDemands, GoodPair,
                                 find_good_pair, hou_demands, is_good_pair,
                                 lower_bound_witness, ma_demands,
                                 stiebitz_demands)
-from degratio.errors import ParameterError, PreconditionError
+from degratio.errors import (BudgetExceededError, ParameterError,
+                             PreconditionError)
 from degratio.formulas import two_fifths_family
 from degratio.graph import (build_named, complete, connectivity, cycle,
                             graph_from_edges, is_connected, is_isomorphic,
@@ -35,7 +37,7 @@ def test_demand_regime_validation():
     with pytest.raises(PreconditionError):
         # C8 blocks one ma branch and C4-subgraph-freeness holds, but the
         # degree-2 vertices cannot carry demands of 2 on both sides
-        DegreeDemands((2,) * 8, (2,) * 8, "ma").validate(C8)
+        DegreeDemands((2,) * 8, "ma").validate(C8)
 
 
 def test_hou_applies_to_triangle_free():
@@ -82,6 +84,30 @@ def test_lower_bound_witness_on_catalog():
         if w.strict:
             assert w.quality > w.value, G.name
         assert partition_quality(G, w.partition).quality == w.quality
+
+
+def _meets_bound(G, w):
+    assert partition_quality(G, w.partition).quality == w.quality
+    return w.quality > w.value if w.strict else w.quality >= w.value
+
+
+def test_lower_bound_witness_beyond_22_vertices():
+    graphs = [G for G in witness_set() if 22 < G.n <= 40]
+    graphs.append(random_connected_graph(random.Random(7), 30, 0.7))
+    for G in graphs:
+        assert _meets_bound(G, lower_bound_witness(G)), G
+
+
+def test_lower_bound_witness_honours_the_budget():
+    # every start of the local search stalls on this dense 60-vertex graph
+    G = witness_set()[97]
+    budget = 1 << 16
+    try:
+        w = lower_bound_witness(G, budget=budget)
+    except BudgetExceededError as exc:
+        assert exc.explored > budget
+    else:
+        assert _meets_bound(G, w)
 
 
 def test_good_pair_invariant_checker():

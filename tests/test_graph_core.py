@@ -33,6 +33,14 @@ def test_named_resolver_two_digit_rule():
         graph_from_edges(5, [(0, 1)])))
 
 
+def test_named_cliques_of_any_size():
+    G = build_named("K_12")
+    assert G.n == 12 and G.num_edges == 66
+    assert build_named("K_5") == complete(5)
+    with pytest.raises(ParameterError, match="K_10"):
+        build_named("K10")
+
+
 def test_k4_minus_e_plus_v_is_3_triangle():
     assert is_isomorphic(build_named("K4ev"), k_triangle(3))
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_climb, naive_matching_cut, naive_q
+from conftest import (naive_climb, naive_demand_partition,
+                      naive_matching_cut, naive_q)
 from degratio.catalog import product_pairs, random_connected_graph
 from degratio.errors import BudgetExceededError, ParameterError, \
     PreconditionError
@@ -18,7 +19,7 @@ from degratio.graph import (build_named, cartesian_product, complete,
                             k_triangle, path)
 from degratio.ratios import (Bipartition, crossing_edges, is_matching,
                              partition_quality)
-from degratio.solver import (_hill_climb, _min_ratio, decide,
+from degratio.solver import (_hill_climb, _min_ratio, _search, decide,
                              find_matching_cut, lift_partition,
                              product_matching_cut, solve_q)
 
@@ -113,6 +114,25 @@ def test_twin_rule_matches_oracles_on_blow_ups(seed):
     assert cert.has_cut == naive_matching_cut(G)
     if cert.has_cut:
         assert is_matching(G, crossing_edges(G, cert.partition))
+
+
+def test_search_with_demand_caps_matches_oracle():
+    # a demand f(v) is the cap d(v) - f(v); leaves 1 and 2 of the path are
+    # false twins with different demands, and only 1 may leave vertex 0
+    cases = [(graph_from_edges(3, [(0, 1), (0, 2)]), [1, 0, 1])]
+    rng = random.Random(5)
+    for i in range(300):
+        G = _blow_up(rng, 13) if i % 2 else \
+            random_connected_graph(rng, rng.randint(3, 13), p=rng.uniform(0.2, 0.8))
+        cases.append((G, [rng.randint(0, (G.degree(v) + 3) // 2) for v in range(G.n)]))
+    for G, f in cases:
+        cap = [G.degree(v) - f[v] for v in range(G.n)]
+        _, sides = _search(G, cap, 1 << 30, lambda sides: True)
+        assert (sides is not None) == naive_demand_partition(G, f), (G.adj, f)
+        if sides is not None:
+            assert 1 in sides and 2 in sides
+            assert all(sum(sides[u] == sides[v] for u in G.adj[v]) >= f[v]
+                       for v in range(G.n))
 
 
 @pytest.mark.parametrize("G, q", [
