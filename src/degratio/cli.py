@@ -156,11 +156,11 @@ def cmd_bound(args) -> int:
     budget = _budget(args)
     lb = class_lower_bound(G, budget=budget)
     ub = edge_upper_bound(G)
-    rel = "<" if lb.strict else "<="
-    payload = {"lower": format_ratio(lb.value), "strict": lb.strict,
+    lower, strict = lb.value, lb.strict
+    payload = {"class_lower": format_ratio(lb.value), "class_strict": lb.strict,
                "rules": list(lb.rules), "upper": format_ratio(ub)}
-    lines = [f"{format_ratio(lb.value)} {rel} q(G) <= {format_ratio(ub)}",
-             f"lower-bound rules: {', '.join(lb.rules)}"]
+    lines = [f"class bound: {format_ratio(lb.value)} {'<' if lb.strict else '<='} "
+             f"q(G), rules: {', '.join(lb.rules)}"]
     try:
         w = lower_bound_witness(G, budget=budget)
         payload["witness"] = {"partition": w.partition.to_string(),
@@ -168,12 +168,17 @@ def cmd_bound(args) -> int:
                               "rule": w.rule}
         lines.append(f"witness = {w.partition.to_string()} "
                      f"(quality {format_ratio(w.quality)}, rule {w.rule})")
+        if w.quality > lower:  # any partition's quality is a lower bound
+            lower, strict = w.quality, False
     except PreconditionError:
         pass
     except BudgetExceededError as exc:
         # both printed bounds stay exact; only the witness is missing
         payload["witness"] = None
         lines.append(f"witness = none ({exc})")
+    payload.update(lower=format_ratio(lower), strict=strict)
+    lines.insert(0, f"{format_ratio(lower)} {'<' if strict else '<='} q(G) "
+                    f"<= {format_ratio(ub)}")
     return _report(args, "bound", G, payload, True, started, lines)
 
 

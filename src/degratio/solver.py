@@ -5,9 +5,23 @@ degree-constrained partitions of ``construct`` use the same search.
 Each asks for a nontrivial partition in which each vertex v has at most
 cap[v] neighbors on the other side.  The caps do not depend on the side, so
 the search fixes vertex 0 on side 1 (complement symmetry halves the space).
-It abandons a branch as soon as an assigned vertex exceeds its cap;
-undecided neighbors are assumed to land on its side, so the pruning is
-admissible.
+
+The search branches in maximum-cardinality-search order: vertex 0 first,
+then always a vertex with the most placed neighbors, so each decision meets
+as many constraints as possible early.  Every assignment is propagated (the
+rules are listed in ``_search``).  Each forced assignment is implied by the
+caps and the assignments already made: a vertex with more than cap[v]
+neighbors on side s cannot go on the other side, and a saturated vertex u,
+one with exactly cap[u] neighbors across, cannot take another crossing
+edge, so its free neighbors must join its side.  A branch dies when a
+vertex is forced onto both sides or pushed over its cap.
+
+``solve_q`` lowers the caps as its incumbent improves.  Caps only go down,
+so a forced assignment made under an older cap is still forced under the
+newer one: "more than the old cap" implies "more than the new cap", and a
+vertex saturated under the old cap is at or over the new one.  A lowered
+cap is checked only where a count changes later, so a leaf may fall short
+of the newest incumbent; ``solve_q`` rescores every leaf.
 
 It also breaks twin symmetry.  True twins (N[u] = N[w]) and false twins
 (N(u) = N(w)) can be swapped by an automorphism, and every question asked
@@ -22,7 +36,15 @@ comes first in the search order, hence first in its class, and a partition
 with vertex 0 on side 1 keeps it there once each class is sorted.  No
 vertex has both a true twin w and a false twin x (w in N(u) = N(x) gives
 x in N[w] = N[u], so x in N(u) = N(x)), so the classes of both kinds are
-disjoint.  On K20 this takes the search from 184,775 nodes to 120.
+disjoint.
+
+The twin rule is a chain of clauses between consecutive twins of a class,
+"the later one on side 1 implies the earlier one on side 1", which is the
+same as "the earlier one on side 2 implies the later one on side 2".  The
+clauses are fixed by the search order before the search starts and do not
+depend on which vertex is assigned first, so propagating them in both
+directions, from whichever twin of a pair is assigned first, forces only
+what every partition obeying the rule already has.
 
 The caps are:
 
@@ -34,12 +56,14 @@ The caps are:
   num/den, i.e. strictly better; the caps are lowered after each improving
   leaf, which makes the search a branch and bound.
 
-Failure to finish within the assignment budget raises
+The budget bounds ``explored``, the number of assignments the search
+attempts, decided or forced.  Failure to finish within it raises
 :class:`BudgetExceededError`; the answer is never silently inexact.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -209,99 +233,171 @@ def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
 # -- the search engine -----------------------------------------------------
 
 
+def _mcs_order(G: Graph) -> list[int]:
+    """Maximum-cardinality-search order from vertex 0: each next vertex is
+    an unplaced one with the most placed neighbors, ties going to the higher
+    degree, then to the lower label.
+
+    A vertex's key is -(count * n^2 + degree * n + n - 1 - v), so one more
+    placed neighbor outweighs any degree and label.  The heap is lazy: a
+    vertex's newest entry has its lowest key, so it pops first, and older
+    entries are skipped once the vertex is placed."""
+    n = G.n
+    adj = G.adj
+    step = n * n
+    key = [-(len(a) * n + n - 1 - v) for v, a in enumerate(adj)]
+    key[0] -= step * n  # vertex 0 first
+    heap = key[:]
+    heapq.heapify(heap)
+    push = heapq.heappush
+    placed = [False] * n
+    order = []
+    while heap:
+        v = n - 1 - -heapq.heappop(heap) % n
+        if placed[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not placed[u]:
+                k = key[u] - step
+                key[u] = k
+                push(heap, k)
+    return order
+
+
 def _twin_before(G: Graph, order: list[int], cap: list[int]) -> list[int]:
-    """For each depth i, the vertex at the latest depth before i that is a
-    true or false twin of ``order[i]`` with the same cap, or -1 when there is
-    none."""
-    last_open: dict[tuple[frozenset[int], int], int] = {}
-    last_closed: dict[tuple[frozenset[int], int], int] = {}
-    twin = [-1] * len(order)
-    for i, v in enumerate(order):
-        for last, key in ((last_open, (G.adj[v], cap[v])),
-                          (last_closed, (G.adj[v] | {v}, cap[v]))):
-            w = last.get(key, -1)
-            if w >= 0:
-                twin[i] = w
-            last[key] = v
+    """For each vertex v, the latest vertex before v in ``order`` that is a
+    true or false twin of v with the same cap, or -1 when there is none.
+    An open neighborhood never equals a closed one (N(u) = N[w] gives w in
+    N(u), so u in N[w] = N(u)), so one dictionary holds both kinds of key,
+    and by the module docstring at most one of them has an earlier twin."""
+    last: dict[tuple[frozenset[int], int], int] = {}
+    twin = [-1] * G.n
+    for v in order:
+        false_key = (G.adj[v], cap[v])
+        true_key = (G.adj[v] | {v}, cap[v])
+        twin[v] = max(last.get(false_key, -1), last.get(true_key, -1))
+        last[false_key] = last[true_key] = v
     return twin
 
 
 def _search(G: Graph, cap: list[int], budget: int, on_leaf):
-    """Depth-first search over side assignments in BFS order, with vertex 0
-    fixed on side 1, and no vertex on side 1 while its previous twin with
-    the same cap in that order is on side 2 (see the module docstring for
-    why this loses nothing).
+    """Depth-first search over side assignments with unit propagation,
+    branching in maximum-cardinality-search order with vertex 0 fixed on
+    side 1 and side 1 tried first.
 
-    A branch dies as soon as some assigned vertex v has more than ``cap[v]``
-    neighbors on the other side.  At each complete assignment with both
-    sides nonempty, ``on_leaf(sides)`` is called; the search stops there when
-    it returns true.  ``on_leaf`` may lower ``cap`` in place, and later
-    checks use the new caps.  The stack is explicit, so the depth is not
-    bounded by the interpreter's recursion limit.
+    ``same[s][v]`` counts v's neighbors on side s, for every vertex v.  An
+    assignment of v to side s, decided or forced, propagates as follows (the
+    module docstring says why each rule loses nothing):
 
-    Returns ``(explored, sides)``: the number of attempted assignments, and
-    the leaf that stopped the search, or None when the search was exhausted.
+    - it fails if v already has more than ``cap[v]`` neighbors on the other
+      side;
+    - a neighbor u on the other side gains a crossing edge; above ``cap[u]``
+      the branch dies, and at exactly ``cap[u]`` u is saturated, which forces
+      every free neighbor of u onto u's side;
+    - a free neighbor u with more than ``cap[u]`` neighbors on side s is
+      forced onto side s;
+    - if v itself is saturated, its free neighbors are forced onto side s;
+    - twins obey a chain: side 1 forces the previous twin onto side 1, and
+      side 2 forces the next twin onto side 2.
+
+    A vertex forced onto both sides kills the branch.  Every increment is
+    made before a conflict is reported, so undoing an assignment, which pops
+    the trail and decrements every neighbor, restores the counts exactly.
+
+    At each complete assignment with both sides nonempty, ``on_leaf(sides)``
+    is called; the search stops there when it returns true.  ``on_leaf`` may
+    lower ``cap`` in place, and later checks use the new caps.  The stack is
+    explicit, so the depth is not bounded by the interpreter's recursion
+    limit.
+
+    Returns ``(explored, sides)``: the number of attempted assignments,
+    decided or forced, and the leaf that stopped the search, or None when the
+    search was exhausted.  More than ``budget`` of them raises
+    :class:`BudgetExceededError`.
     """
     n = G.n
-    order = _bfs_order(G)
-    twin = _twin_before(G, order, cap)
-    adjl = [sorted(G.adj[v]) for v in range(n)]
+    order = _mcs_order(G)
+    prev = _twin_before(G, order, cap)  # the previous twin in the chain
+    succ = [-1] * n  # the next twin in the chain
+    for v, w in enumerate(prev):
+        if w >= 0:
+            succ[w] = v
+    adjl = [tuple(a) for a in G.adj]
     side = [0] * n
-    cross = [0] * n
-    touched: list[list[int]] = [[] for _ in range(n)]  # undo info per depth
-    nxt = [1] * n  # next side to try per depth
-    count2 = 0
+    same = (None, [0] * n, [0] * n)
+    trail: list[int] = []
     explored = 0
-    i = 0
-    while True:
-        if i < n and nxt[i] <= (2 if i else 1):
-            s = nxt[i]
-            nxt[i] = s + 1
+
+    def assign(v: int, s: int) -> bool:
+        """Put v on side s and propagate; False on a conflict."""
+        nonlocal explored
+        queue = [v << 2 | s]  # v on side s, packed in one int
+        for x in queue:
+            v = x >> 2
+            s = x & 3
+            if side[v]:
+                if side[v] != s:
+                    return False
+                continue
             explored += 1
             if explored > budget:
                 raise BudgetExceededError(explored=explored)
-            v = order[i]
-            opp = 3 - s
-            t = touched[i]
-            t.clear()
-            cv = 0
+            ss = same[s]
+            o = 3 - s
+            so = same[o]
+            if so[v] > cap[v]:
+                return False
+            side[v] = s
+            trail.append(v)
             ok = True
             for u in adjl[v]:
-                if side[u] == opp:
-                    cv += 1
-                    cross[u] += 1
-                    t.append(u)
-                    if cross[u] > cap[u]:
-                        ok = False
-                        break
-            if not ok or cv > cap[v]:
-                for u in t:
-                    cross[u] -= 1
-                continue
-            side[v] = s
-            cross[v] = cv
-            if s == 2:
-                count2 += 1
-            i += 1
+                c = ss[u] + 1
+                ss[u] = c
+                if c >= cap[u]:
+                    su = side[u]
+                    if su == o:
+                        if c > cap[u]:
+                            ok = False  # finish the increments first
+                        elif ok:
+                            queue += [w << 2 | o for w in adjl[u] if not side[w]]
+                    elif not su and c > cap[u]:
+                        queue.append(u << 2 | s)
+            if not ok:
+                return False
+            if so[v] == cap[v]:
+                queue += [w << 2 | s for w in adjl[v] if not side[w]]
+            w = prev[v] if s == 1 else succ[v]
+            if w >= 0:
+                queue.append(w << 2 | s)
+        return True
+
+    levels = []  # decisions with side 2 left to try: (trail length, position)
+    i = 0
+    ok = assign(order[0], 1)
+    while True:
+        if ok:
+            while i < n and side[order[i]]:
+                i += 1
             if i < n:
-                w = twin[i]  # side 1 only while the previous twin is there
-                nxt[i] = side[w] if w >= 0 else 1
-            elif count2:
+                levels.append((len(trail), i))
+                ok = assign(order[i], 1)
+                continue
+            if 2 in side:
                 sides = tuple(side)
                 if on_leaf(sides):
                     return explored, sides
-            continue
-        # depth i is exhausted (or a leaf was handled): undo depth i - 1
-        i -= 1
-        if i < 0:
+        if not levels:
             return explored, None
-        v = order[i]
-        if side[v] == 2:
-            count2 -= 1
-        side[v] = 0
-        cross[v] = 0
-        for u in touched[i]:
-            cross[u] -= 1
+        depth, i = levels.pop()
+        while len(trail) > depth:  # undo
+            v = trail.pop()
+            ss = same[side[v]]
+            side[v] = 0
+            for u in adjl[v]:
+                ss[u] -= 1
+        ok = assign(order[i], 2)
 
 
 def _min_ratio(adjl, d1: list[int], sides) -> tuple[int, int]:

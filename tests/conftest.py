@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from degratio.catalog import random_connected_graph
-from degratio.graph import Graph
+from degratio.graph import Graph, graph_from_edges
 from degratio.ratios import Bipartition, partition_quality
 
 
@@ -62,6 +62,14 @@ def naive_demand_partition(G: Graph, f) -> bool:
                for v in range(G.n)):
             return True
     return False
+
+
+def paley(p: int) -> Graph:
+    """The Paley graph on the integers mod a prime p = 1 (mod 4): u and v are
+    adjacent when v - u is a nonzero quadratic residue."""
+    residues = {x * x % p for x in range(1, p)}
+    return graph_from_edges(p, [(u, v) for u in range(p) for v in range(u + 1, p)
+                                if (v - u) % p in residues])
 
 
 @functools.cache

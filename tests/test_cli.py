@@ -64,6 +64,17 @@ def test_bound_output(capsys):
     assert code == 0 and "1/2 < q(G)" in out
 
 
+def test_bound_takes_the_larger_lower_bound(capsys):
+    # the class bound is 1/2 < q(G); the witness has quality 5/7
+    code, out, _ = run(capsys, "bound", "--named", "prod:K4,K4")
+    assert code == 0 and "5/7 <= q(G) <= 6/7" in out
+    assert "class bound: 1/2 < q(G)" in out
+    code, out, _ = run(capsys, "bound", "--named", "prod:K4,K4", "--json")
+    result = json.loads(out)["result"]
+    assert result["lower"] == "5/7" and result["strict"] is False
+    assert result["class_lower"] == "1/2" and result["class_strict"] is True
+
+
 def test_bound_reports_a_missing_witness(tmp_path, capsys):
     # the local search stalls from every start here, so the partition
     # search runs and exceeds the budget

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (naive_climb, naive_demand_partition,
-                      naive_matching_cut, naive_q)
+                      naive_matching_cut, naive_q, paley)
 from degratio.catalog import product_pairs, random_connected_graph
 from degratio.errors import BudgetExceededError, ParameterError, \
     PreconditionError
@@ -19,8 +19,8 @@ from degratio.graph import (build_named, cartesian_product, complete,
                             k_triangle, path)
 from degratio.ratios import (Bipartition, crossing_edges, is_matching,
                              partition_quality)
-from degratio.solver import (_hill_climb, _min_ratio, _search, decide,
-                             find_matching_cut, lift_partition,
+from degratio.solver import (_hill_climb, _mcs_order, _min_ratio, _search,
+                             decide, find_matching_cut, lift_partition,
                              product_matching_cut, solve_q)
 
 
@@ -141,11 +141,39 @@ def test_search_with_demand_caps_matches_oracle():
     (k_triangle(16), Fraction(1, 2)),
 ])
 def test_twin_classes_keep_the_search_small(G, q):
-    # the search without twin symmetry breaking visits 184,775, 2,817 and
-    # 25,773 nodes here
+    # the BFS-order search without twin symmetry breaking visited 184,775,
+    # 2,817 and 25,773 nodes here, and the propagating search with the twin
+    # chain propagated only from side 1 visits 254, 291 and 187
     res = solve_q(G)
     assert res.q == q and res.method == "pruned_search"
-    assert res.explored < 1000
+    assert res.explored < 160
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_mcs_order_matches_reference(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    # vertex 0, then the most placed neighbors, the higher degree, the lower label
+    order, count = [0], [0] * n
+    while len(order) < n:
+        for u in G.adj[order[-1]]:
+            count[u] += 1
+        order.append(max(set(range(n)) - set(order),
+                         key=lambda u: (count[u], G.degree(u), -u)))
+    assert _mcs_order(G) == order
+
+
+@pytest.mark.parametrize("G, q", [
+    (paley(29), Fraction(8, 15)),
+    (random_connected_graph(random.Random(5), 36, 0.3), Fraction(5, 9)),
+])
+def test_propagation_keeps_the_search_small(G, q):
+    # the search in BFS order without propagation visits 183,553 and
+    # 443,217 nodes here
+    res = solve_q(G)
+    assert res.q == q and res.method == "pruned_search"
+    assert res.explored < 100_000
 
 
 @pytest.mark.parametrize("G", [path(16), cycle(9), build_named("prism")])
