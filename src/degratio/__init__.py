@@ -7,14 +7,15 @@ forms for known graph classes, matching-cut decisions, constructive lower
 bounds, and hardness-reduction gadget generators.
 """
 
-from .errors import (BudgetExceededError, DegratioError, GraphParseError,
-                     NoApplicableRule, ParameterError, PreconditionError)
+from .errors import (BudgetExceededError, CertificateError, DegratioError,
+                     GraphParseError, NoApplicableRule, ParameterError,
+                     PreconditionError)
 from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
                     complement, complete, complete_bipartite, connectivity,
                     cycle, emit_graph, fiber, graph_from_edges, is_connected,
                     is_isomorphic, is_pattern_free, is_tree, k_triangle,
                     parse_graph, path, regularity)
-from .ratios import (Bipartition, MatchingCutCertificate, QualityReport, Ratio,
+from .ratios import (Bipartition, MatchingCutCertificate, QualityReport,
                      crossing_edges, format_ratio, is_matching, parse_ratio,
                      partition_quality, vertex_ratio)
 from .solver import (DEFAULT_BUDGET, DecideResult, SolveResult, decide,

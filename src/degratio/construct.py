@@ -7,8 +7,8 @@ non-constructive.  A potential-guided local search runs first, from an
 alternating start and then from the solver's seed partitions; when every
 start stalls, the solver's one partition search finishes the job under the
 caller's budget, with cap d(v) - f(v) on each vertex.  A demand regime
-whose preconditions hold but whose exhaustive search comes up empty is a
-fatal internal error, never a silent miss.
+whose preconditions hold but whose exhaustive search comes up empty raises
+:class:`CertificateError`, never a silent miss.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ParameterError, PreconditionError
+from .errors import CertificateError, ParameterError, PreconditionError
 from .formulas import _theorem_classes, two_fifths_family
-from .graph import (Graph, connectivity, cut_splits, cycle, is_connected,
-                    is_isomorphic, regularity)
-from .ratios import Bipartition, partition_quality
+from .graph import (Graph, components, connectivity, cut_splits, cycle,
+                    graph_from_edges, is_connected, is_isomorphic, regularity)
+from .ratios import Bipartition, certify, min_ratio
 from .solver import DEFAULT_BUDGET, _search, _seed_partitions, solve_q
 
 log = logging.getLogger(__name__)
@@ -145,7 +145,7 @@ def degree_constrained_partition(G: Graph, demands: DegreeDemands,
     cap = [G.degree(v) - demands.f[v] for v in range(n)]
     _, sides = _search(G, cap, budget, lambda sides: True)
     if sides is None:
-        raise RuntimeError(
+        raise CertificateError(
             f"no demand-feasible partition exists under regime {demands.regime!r} "
             "although its preconditions hold")
     return Bipartition(sides)
@@ -184,10 +184,7 @@ def lower_bound_witness(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBoundWit
             value = Fraction(1, 2)
         strict, rule = False, "lowbound"
     P = degree_constrained_partition(G, demands, budget)
-    quality = partition_quality(G, P).quality
-    if quality < value or (strict and quality <= value):
-        raise AssertionError(
-            f"witness quality {quality} misses the {rule} bound {value}")
+    quality = certify(G, P, value, ">" if strict else ">=")
     return LowerBoundWitness(value, strict, rule, P, quality)
 
 
@@ -298,20 +295,9 @@ def _proof_candidates(G: Graph, tri: tuple[int, int, int]):
             yield ("triangle-cycle", tset, frozenset(cyc))
             return  # the remaining cases assume an acyclic remainder
 
-    comps: list[frozenset[int]] = []
-    unseen = set(rest)
-    while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in G.adj[v]:
-                if u in unseen and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        unseen -= comp
-        comps.append(frozenset(comp))
+    # the components of G[rest]; the triangle's vertices are isolated here
+    inner = graph_from_edges(G.n, [e for e in G.edges() if tset.isdisjoint(e)])
+    comps = [comp for comp in components(inner) if comp <= rest]
 
     def leaves(comp):
         return sorted(v for v in comp if sum(1 for u in G.adj[v] if u in comp) == 1)
@@ -449,15 +435,10 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
 
     log.warning("good-pair case analysis exhausted on %r; falling back to the "
                 "exact solver (suspected case gap)", G)
-    res = solve_q(G, budget=budget)
-    if res.q < threshold:
-        raise RuntimeError(
-            f"no good pair exists at threshold {threshold}: q(G) = {res.q}")
-    gp = GoodPair(res.optimal_partition.side(1), res.optimal_partition.side(2),
-                  threshold, "fallback")
-    if not is_good_pair(G, gp):
-        raise AssertionError("solver partition fails the good-pair invariant")
-    return gp
+    # a partition is a good pair exactly when its quality meets the threshold
+    P = solve_q(G, budget=budget).optimal_partition
+    certify(G, P, threshold)
+    return GoodPair(P.side(1), P.side(2), threshold, "fallback")
 
 
 def extend_good_pair(G: Graph, gp: GoodPair) -> Bipartition:
@@ -488,10 +469,7 @@ def extend_good_pair(G: Graph, gp: GoodPair) -> Bipartition:
             A.add(v)
         else:
             B.add(v)
-    quality = partition_quality(G, P).quality
-    if quality < thr:
-        raise AssertionError(
-            f"extension produced quality {quality} below threshold {thr}")
+    certify(G, P, thr)
     return P
 
 
@@ -506,5 +484,5 @@ def connectivity_partition(G: Graph) -> tuple[Fraction, Bipartition] | None:
     candidates = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
     if not candidates:
         return None
-    best = max(candidates, key=lambda P: partition_quality(G, P).quality)
-    return partition_quality(G, best).quality, best
+    scored = [(Fraction(*min_ratio(G, P.sides)), P) for P in candidates]
+    return max(scored, key=lambda qp: qp[0])  # the first best on ties

@@ -33,3 +33,8 @@ class BudgetExceededError(DegratioError, RuntimeError):
 
 class NoApplicableRule(DegratioError, LookupError):
     """No closed-form rule matches the input graph."""
+
+
+class CertificateError(DegratioError):
+    """A witness, recomputed independently, does not prove the claimed
+    value, or a theorem the library relies on failed on the input."""

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoApplicableRule, ParameterError, PreconditionError
-from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
-                    complete, complete_bipartite, contains_subgraph, cycle,
-                    is_connected, is_isomorphic, is_tree, k_triangle,
-                    regularity, split_side)
-from .ratios import Bipartition, partition_quality
+from .errors import (CertificateError, NoApplicableRule, ParameterError,
+                     PreconditionError)
+from .graph import (Graph, build_named, cartesian_product, complete,
+                    complete_bipartite, contains_subgraph, cycle, is_connected,
+                    is_isomorphic, is_tree, k_triangle, regularity, split_side)
+from .ratios import Bipartition, certify, top_edge
 from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 
 
@@ -48,13 +48,8 @@ def edge_upper_bound(G: Graph) -> Fraction:
     for connected graphs."""
     if not is_connected(G):
         raise PreconditionError("edge upper bound needs a connected graph")
-    best = Fraction(0)
-    for u, v in G.edges():
-        cand = min(Fraction(G.degree(u), G.closed_degree(u)),
-                   Fraction(G.degree(v), G.closed_degree(v)))
-        if cand > best:
-            best = cand
-    return best
+    _, top = top_edge(G)
+    return Fraction(top - 1, top)
 
 
 def _theorem_classes(G: Graph) -> dict[str, bool]:
@@ -118,14 +113,9 @@ def tree_q(T: Graph) -> FormulaVerdict:
     at a maximizing edge."""
     if not is_tree(T):
         raise PreconditionError("tree formula needs a tree")
-    value = edge_upper_bound(T)
-    for u, v in T.edges():
-        cand = min(Fraction(T.degree(u), T.closed_degree(u)),
-                   Fraction(T.degree(v), T.closed_degree(v)))
-        if cand == value:
-            witness = Bipartition.from_side1(T.n, split_side(T, u, v))
-            return FormulaVerdict(value, "tree", witness)
-    raise AssertionError("no maximizing edge found")
+    (u, v), top = top_edge(T)
+    witness = Bipartition.from_side1(T.n, split_side(T, u, v))
+    return FormulaVerdict(Fraction(top - 1, top), "tree", witness)
 
 
 def ktriangle_q(k: int) -> FormulaVerdict:
@@ -162,7 +152,7 @@ def cubic_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
         return FormulaVerdict(res.q, "cubic", res.optimal_partition)
     cert = find_matching_cut(G, budget=budget)
     if not cert.has_cut:
-        raise AssertionError("cubic graph other than K4/K33 without matching-cut")
+        raise CertificateError("cubic graph other than K4/K33 without matching-cut")
     return FormulaVerdict(Fraction(3, 4), "cubic", cert.partition)
 
 
@@ -178,7 +168,7 @@ def four_regular_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
         return FormulaVerdict(Fraction(4, 5), "4reg", cert.partition)
     res = solve_q(G, budget=budget)
     if res.q != Fraction(3, 5):
-        raise AssertionError(f"4-regular dichotomy violated: solver says {res.q}")
+        raise CertificateError(f"4-regular dichotomy violated: solver says {res.q}")
     return FormulaVerdict(Fraction(3, 5), "4reg", res.optimal_partition)
 
 
@@ -190,18 +180,13 @@ def product_kreg_tree_q(G: Graph, H: Graph) -> FormulaVerdict:
         raise PreconditionError("left factor must be connected and regular")
     if not is_tree(H):
         raise PreconditionError("right factor must be a tree")
-    value = Fraction(0)
-    best_edge = None
-    for u, v in H.edges():
-        cand = min(Fraction(H.degree(u) + k, H.closed_degree(u) + k),
-                   Fraction(H.degree(v) + k, H.closed_degree(v) + k))
-        if cand > value:
-            value, best_edge = cand, (u, v)
+    # (d(x) + k)/(d[x] + k) grows with d[x], so H's top edge is the best split
+    (u, v), top = top_edge(H)
+    value = Fraction(top - 1 + k, top + k)
     P = cartesian_product(G, H)
-    h_part = Bipartition.from_side1(H.n, split_side(H, *best_edge))
+    h_part = Bipartition.from_side1(H.n, split_side(H, u, v))
     witness = lift_partition(P, h_part, "right")
-    if partition_quality(P, witness).quality != value:
-        raise AssertionError("lifted tree-edge witness misses the formula value")
+    certify(P, witness, value, "==")
     return FormulaVerdict(value, "prodkregtree", witness)
 
 
@@ -225,17 +210,23 @@ def product_cubic_q(G: Graph, H: Graph,
     else:
         cert = find_matching_cut(P, budget=budget)
         if not cert.has_cut:
-            raise AssertionError("cubic product dichotomy violated: no matching-cut")
+            raise CertificateError("cubic product dichotomy violated: no matching-cut")
         witness = cert.partition
         value = Fraction(6, 7)
-    if partition_quality(P, witness).quality != value:
-        raise AssertionError("cubic product witness misses the formula value")
+    certify(P, witness, value, "==")
     return FormulaVerdict(value, "prodcub", witness)
 
 
 def closed_form(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
-    """Dispatch to the first applicable exact formula; raises
+    """Dispatch to the first applicable exact formula and certify that its
+    witness has exactly the formula's value; raises
     :class:`NoApplicableRule` when the graph matches no proven class."""
+    verdict = _first_rule(G, budget)
+    certify(G, verdict.witness, verdict.value, "==")
+    return verdict
+
+
+def _first_rule(G: Graph, budget: int) -> FormulaVerdict:
     if not is_connected(G):
         raise PreconditionError("closed forms apply to connected graphs")
     if is_isomorphic(G, complete(G.n)):

@@ -67,9 +67,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -1,7 +1,11 @@
 """Exact rational degree ratios, bipartitions, and cut structure.
 
 All q-values are :class:`fractions.Fraction` values in canonical reduced
-form; floating point is never used in verdicts.
+form; floating point is never used in verdicts.  :func:`min_ratio` finds a
+partition's quality as an int pair, comparing ratios kept/d[v] by
+cross-multiplying, and :func:`certify` uses it to check a witness against
+the value claimed for it.  :func:`partition_quality` stays the per-vertex
+``Fraction`` report.
 """
 
 from __future__ import annotations
@@ -9,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import CertificateError, ParameterError, PreconditionError
 from .graph import Graph
-
-Ratio = Fraction
 
 
 def format_ratio(r: Fraction) -> str:
@@ -99,6 +101,50 @@ def partition_quality(G: Graph, P: Bipartition) -> QualityReport:
     quality = min(per_vertex)
     witness = per_vertex.index(quality)
     return QualityReport(per_vertex, quality, witness)
+
+
+def min_ratio(G: Graph, sides) -> tuple[int, int]:
+    """The quality of the partition with side labels ``sides`` as an
+    unreduced ratio (kept, d1): the smallest share of a closed neighborhood
+    kept on its own side, the first such vertex winning ties."""
+    bk = bd = 1
+    for a, s in zip(G.adj, sides):
+        k = 1 + [sides[u] for u in a].count(s)
+        d = len(a) + 1
+        if k * bd < bk * d:
+            bk, bd = k, d
+    return bk, bd
+
+
+def certify(G: Graph, P: Bipartition, bound: Fraction,
+            relation: str = ">=") -> Fraction:
+    """The quality of P, recomputed by :func:`min_ratio`, when it is
+    ``relation`` (``"=="``, ``">="`` or ``">"``) the bound; raises
+    :class:`CertificateError` otherwise."""
+    _check(G, P)
+    quality = Fraction(*min_ratio(G, P.sides))
+    holds = {"==": quality == bound, ">=": quality >= bound, ">": quality > bound}
+    if not holds[relation]:
+        raise CertificateError(f"witness quality {format_ratio(quality)} is not "
+                               f"{relation} {format_ratio(bound)}")
+    return quality
+
+
+def top_edge(G: Graph) -> tuple[tuple[int, int], int]:
+    """The first edge uv, in ``G.edges()`` order, that maximizes
+    top = min(d[u], d[v]) over closed degrees, and that top.
+
+    (t - 1)/t grows with t, so uv also maximizes min(d(u)/d[u], d(v)/d[v]),
+    and the edge upper bound on q(G) is (top - 1)/top.
+    """
+    best, top = None, 0
+    for u, v in G.edges():
+        t = min(len(G.adj[u]), len(G.adj[v])) + 1
+        if t > top:
+            best, top = (u, v), t
+    if best is None:
+        raise PreconditionError("the graph has no edge")
+    return best, top
 
 
 def crossing_edges(G: Graph, P: Bipartition) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, PreconditionError
 from .graph import (Graph, bipartition_classes, cartesian_product, complete,
-                    graph_from_edges, is_connected, regularity)
+                    components, graph_from_edges, is_connected, regularity)
 from .ratios import is_matching
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut
 
@@ -150,9 +150,9 @@ def is_matching_cut_set(G: Graph, cut) -> bool:
     if not is_matching(G, cut):
         return False
     removed = set(cut)
-    n = G.n
-    comp_of = [-1] * n
-    for i, comp in enumerate(_components_without(G, removed)):
+    comp_of = [-1] * G.n
+    rest = graph_from_edges(G.n, [e for e in G.edges() if e not in removed])
+    for i, comp in enumerate(components(rest)):
         for v in comp:
             comp_of[v] = i
     # every cut edge must join distinct components, and the component graph
@@ -179,24 +179,6 @@ def is_matching_cut_set(G: Graph, cut) -> bool:
                 elif color[y] == color[x]:
                     return False
     return True
-
-
-def _components_without(G: Graph, removed: set[tuple[int, int]]):
-    seen: set[int] = set()
-    for root in range(G.n):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in G.adj[v]:
-                if tuple(sorted((v, u))) in removed or u in comp:
-                    continue
-                comp.add(u)
-                stack.append(u)
-        seen |= comp
-        yield comp
 
 
 def _mapped_cut(cut) -> list[tuple[int, int]]:

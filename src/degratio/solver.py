@@ -68,11 +68,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import BudgetExceededError, ParameterError, PreconditionError
+from .errors import (BudgetExceededError, CertificateError, ParameterError,
+                     PreconditionError)
 from .graph import (Graph, cartesian_product, components, cut_splits,
                     is_connected)
-from .ratios import (Bipartition, MatchingCutCertificate, crossing_edges,
-                     is_matching, partition_quality)
+from .ratios import (Bipartition, MatchingCutCertificate, certify,
+                     crossing_edges, is_matching, min_ratio, top_edge)
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -400,17 +401,6 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
         ok = assign(order[i], 2)
 
 
-def _min_ratio(adjl, d1: list[int], sides) -> tuple[int, int]:
-    """The quality of a partition as an unreduced ratio (kept, d1): the
-    smallest share of a closed neighborhood kept on its own side."""
-    bk = bd = 1
-    for a, s, d in zip(adjl, sides, d1):
-        k = 1 + [sides[u] for u in a].count(s)
-        if k * bd < bk * d:
-            bk, bd = k, d
-    return bk, bd
-
-
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions.
 
@@ -418,22 +408,20 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     the edge upper bound and no search ran, and ``"pruned_search"`` otherwise;
     the search, too, stops at the first leaf that reaches the bound.
     """
-    adjl = [tuple(a) for a in G.adj]
-    d1 = [len(a) + 1 for a in adjl]
     seeds = _seed_partitions(G, budget)
     best_part = seeds[0]
-    bk, bd = _min_ratio(adjl, d1, best_part.sides)
+    bk, bd = min_ratio(G, best_part.sides)
     for p in seeds[1:]:
-        k, d = _min_ratio(adjl, d1, p.sides)
+        k, d = min_ratio(G, p.sides)
         if k * bd > bk * d:
             best_part, bk, bd = p, k, d
     if bk == bd:  # disconnected optimum, nothing can beat it
         return SolveResult(Fraction(1), best_part, 0, "pruned_search")
-    # the edge upper bound max_uv min(d(u)/d[u], d(v)/d[v]) is (top - 1)/top
-    top = max(min(d1[u], d1[v]) for u, a in enumerate(adjl) for v in a)
+    _, top = top_edge(G)  # the edge upper bound is (top - 1)/top
     if bk * top == (top - 1) * bd:
         return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
 
+    d1 = [len(a) + 1 for a in G.adj]
     cap: list[int] = []
 
     def require_better_than(num: int, den: int):
@@ -444,7 +432,7 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
         # a lowered cap is checked only where a cross count changes later,
         # so a leaf can fall short of an incumbent found after its prefix
         nonlocal best_part, bk, bd
-        k, d = _min_ratio(adjl, d1, sides)
+        k, d = min_ratio(G, sides)
         if k * bd > bk * d:
             best_part, bk, bd = Bipartition(sides), k, d
             require_better_than(k, d)
@@ -463,22 +451,19 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
     first witness."""
     if not 0 < q <= 1:
         raise ParameterError(f"threshold must satisfy 0 < q <= 1, got {q}")
-    adjl = [tuple(a) for a in G.adj]
-    d1 = [len(a) + 1 for a in adjl]
     num, den = q.numerator, q.denominator
     for p in _seed_partitions(G, budget):
-        k, d = _min_ratio(adjl, d1, p.sides)
+        k, d = min_ratio(G, p.sides)
         if k * den >= num * d:
             return DecideResult(True, p, 0)
 
     # kept/d1 >= q  <=>  cross <= d1 * (den - num) // den
-    cap = [d * (den - num) // den for d in d1]
+    cap = [(len(a) + 1) * (den - num) // den for a in G.adj]
     explored, sides = _search(G, cap, budget, lambda sides: True)
     if sides is None:
         return DecideResult(False, None, explored)
     witness = Bipartition(sides)
-    if partition_quality(G, witness).quality < q:
-        raise AssertionError("search produced an invalid witness")
+    certify(G, witness, q)
     return DecideResult(True, witness, explored)
 
 
@@ -488,7 +473,7 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
 def _matching_cut_certificate(G: Graph, P: Bipartition) -> MatchingCutCertificate:
     crossing = tuple(crossing_edges(G, P))
     if not crossing or not is_matching(G, crossing):
-        raise AssertionError("matching-cut witness does not cut a matching")
+        raise CertificateError("matching-cut witness does not cut a matching")
     return MatchingCutCertificate(True, P, crossing, exhaustive=True)
 
 

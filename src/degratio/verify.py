@@ -19,7 +19,7 @@ from .construct import extend_good_pair, find_good_pair, lower_bound_witness
 from .errors import PreconditionError
 from .formulas import (class_lower_bound, cubic_q, edge_upper_bound,
                        four_regular_q, tree_q, two_fifths_family)
-from .graph import (Graph, build_named, complete, connectivity, cycle,
+from .graph import (build_named, complete, connectivity, cycle,
                     emit_graph, is_connected, is_isomorphic, is_tree,
                     regularity)
 from .ratios import partition_quality

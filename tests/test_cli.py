@@ -1,10 +1,16 @@
 """CLI behavior: commands, formats, exit codes, and JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degratio
 from conftest import witness_set
+from degratio import solver
 from degratio.cli import main
 from degratio.graph import emit_graph, parse_graph, cycle
 
@@ -169,3 +175,27 @@ def test_conflicting_inputs_rejected(tmp_path, capsys):
     f.write_text(emit_graph(cycle(4)))
     code, _, err = run(capsys, "solve", str(f), "--named", "K5")
     assert code == 1
+
+
+def test_failed_certificate_exits_4(capsys, monkeypatch):
+    # a search leaf of quality 1/2 offered as a witness for q(K4) >= 3/4
+    monkeypatch.setattr(solver, "_search",
+                        lambda G, cap, budget, on_leaf: (1, (1, 1, 2, 2)))
+    code, out, err = run(capsys, "decide", "--named", "K4", "--q", "3/4")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["closed-form", "--named", "prod:K4,K4"], "q = 5/7 (rule: prodcub)"),
+    (["decide", "--named", "prism", "--q", "3/4"], "q(G) >= 3/4: yes"),
+])
+def test_certificates_checked_under_optimize(argv, expected):
+    # python -O strips assert statements; the certificates must still run
+    src = str(Path(degratio.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-O", "-m", "degratio.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout.splitlines()

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import naive_q
 from degratio.catalog import random_connected_graph
-from degratio.errors import NoApplicableRule, ParameterError, PreconditionError
+from degratio import formulas
+from degratio.errors import (CertificateError, NoApplicableRule,
+                             ParameterError, PreconditionError)
 from degratio.formulas import (characterize_third, characterize_two_fifths,
                                class_lower_bound, clique_q, closed_form,
                                cubic_q, edge_upper_bound, four_regular_q,
@@ -19,7 +21,7 @@ from degratio.formulas import (characterize_third, characterize_two_fifths,
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             is_isomorphic, k_triangle, path)
-from degratio.ratios import partition_quality
+from degratio.ratios import Bipartition, partition_quality, top_edge
 from degratio.solver import solve_q
 
 
@@ -116,6 +118,40 @@ def test_edge_upper_bound_is_upper_bound(catalog):
     for G in catalog:
         if G.n <= 8:
             assert naive_q(G)[0] <= edge_upper_bound(G) < 1
+
+
+def _per_edge_bound(G):
+    """The edge upper bound as its definition reads: the largest, over the
+    edges uv, of min(d(u)/d[u], d(v)/d[v])."""
+    return max(min(Fraction(G.degree(u), G.closed_degree(u)),
+                   Fraction(G.degree(v), G.closed_degree(v)))
+               for u, v in G.edges())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_edge_upper_bound_matches_per_edge_fractions(n, data):
+    # a random spanning tree, relabelled, plus random chords
+    label = data.draw(st.permutations(range(n)))
+    edges = [(label[v], label[data.draw(st.integers(0, v - 1))])
+             for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    G = graph_from_edges(n, edges)
+    assert edge_upper_bound(G) == _per_edge_bound(G)
+    # the edge the tree and product rules split at: the first maximizing one
+    first = max(G.edges(), key=lambda e: min(G.degree(x) for x in e))
+    assert top_edge(G) == (first, min(G.closed_degree(x) for x in first))
+    if G.num_edges == n - 1:
+        _check_verdict(G, tree_q(G), _per_edge_bound(G))
+
+
+def test_closed_form_certifies_the_rule(monkeypatch):
+    # a rule whose witness misses its value is refused
+    monkeypatch.setattr(formulas, "tree_q", lambda T: formulas.FormulaVerdict(
+        Fraction(3, 4), "tree", Bipartition.from_side1(T.n, {0})))
+    with pytest.raises(CertificateError):
+        closed_form(path(5))
 
 
 def test_class_lower_bound_values():

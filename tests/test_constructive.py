@@ -16,13 +16,14 @@ from degratio.construct import (DegreeDemands, GoodPair,
                                 find_good_pair, hou_demands, is_good_pair,
                                 lower_bound_witness, ma_demands,
                                 stiebitz_demands)
-from degratio.errors import (BudgetExceededError, ParameterError,
-                             PreconditionError)
+from degratio import construct
+from degratio.errors import (BudgetExceededError, CertificateError,
+                             ParameterError, PreconditionError)
 from degratio.formulas import two_fifths_family
-from degratio.graph import (build_named, complete, connectivity, cycle,
-                            graph_from_edges, is_connected, is_isomorphic,
-                            path)
-from degratio.ratios import partition_quality
+from degratio.graph import (build_named, complete, connectivity, cut_splits,
+                            cycle, graph_from_edges, is_connected,
+                            is_isomorphic, path)
+from degratio.ratios import Bipartition, partition_quality
 
 
 def test_demand_regime_validation():
@@ -194,3 +195,28 @@ def test_connectivity_partition():
     assert quality >= Fraction(2, 3)  # a bridge split keeps 2/3 on each end
     assert partition_quality(G, P).quality == quality
     assert connectivity_partition(complete(5)) is None
+
+
+def test_connectivity_partition_takes_the_first_best_split():
+    rng = random.Random(11)
+    for _ in range(60):
+        G = random_connected_graph(rng, rng.randint(4, 12), p=0.25)
+        splits = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
+        if not splits:
+            assert connectivity_partition(G) is None
+            continue
+        scores = [partition_quality(G, P).quality for P in splits]
+        best = max(scores)
+        assert connectivity_partition(G) == (best, splits[scores.index(best)])
+
+
+def test_lower_bound_witness_certifies_a_strict_bound(monkeypatch):
+    # Petersen falls under the strict rule 1/2 < q; a witness of quality
+    # exactly 1/2 does not prove it
+    G = build_named("petersen")
+    P = Bipartition.from_string("1122222222")
+    assert partition_quality(G, P).quality == Fraction(1, 2)
+    monkeypatch.setattr(construct, "degree_constrained_partition",
+                        lambda G, demands, budget: P)
+    with pytest.raises(CertificateError):
+        lower_bound_witness(G)

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from conftest import (naive_climb, naive_demand_partition,
                       naive_matching_cut, naive_q, paley)
 from degratio.catalog import product_pairs, random_connected_graph
-from degratio.errors import BudgetExceededError, ParameterError, \
-    PreconditionError
+from degratio import solver
+from degratio.errors import BudgetExceededError, CertificateError, \
+    ParameterError, PreconditionError
 from degratio.formulas import edge_upper_bound
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             k_triangle, path)
 from degratio.ratios import (Bipartition, crossing_edges, is_matching,
-                             partition_quality)
-from degratio.solver import (_hill_climb, _mcs_order, _min_ratio, _search,
+                             min_ratio, partition_quality)
+from degratio.solver import (_hill_climb, _mcs_order, _search,
                              decide, find_matching_cut, lift_partition,
                              product_matching_cut, solve_q)
 
@@ -72,8 +73,7 @@ def test_min_ratio_matches_partition_quality(n, data):
     sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
     if len(set(sides)) == 1:
         sides[0] = 3 - sides[0]
-    adjl = [tuple(a) for a in G.adj]
-    k, d = _min_ratio(adjl, [len(a) + 1 for a in adjl], sides)
+    k, d = min_ratio(G, sides)
     assert Fraction(k, d) == partition_quality(G, Bipartition(tuple(sides))).quality
 
 
@@ -212,6 +212,23 @@ def test_decide_witness_validates():
     G = build_named("prism")
     res = decide(G, Fraction(3, 4))
     assert res and partition_quality(G, res.witness).quality >= Fraction(3, 4)
+
+
+def test_decide_certifies_the_search_witness(monkeypatch):
+    # no seed of K4 reaches 3/4, so the leaf comes from the search; this one
+    # has quality 1/2
+    monkeypatch.setattr(solver, "_search",
+                        lambda G, cap, budget, on_leaf: (1, (1, 1, 2, 2)))
+    with pytest.raises(CertificateError):
+        decide(complete(4), Fraction(3, 4))
+
+
+def test_matching_cut_certifies_the_search_witness(monkeypatch):
+    # a leaf whose four crossing edges share endpoints is not a matching-cut
+    monkeypatch.setattr(solver, "_search",
+                        lambda G, cap, budget, on_leaf: (1, (1, 1, 2, 2)))
+    with pytest.raises(CertificateError):
+        find_matching_cut(complete(4))
 
 
 def test_decide_parameter_validation():
