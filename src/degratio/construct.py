@@ -40,6 +40,12 @@ class DegreeDemands:
     ma:       d(x) >= 2f(x) - 1, demands >= 2, either no
               C4/K4/diamond subgraph or no K3/C8/K23 subgraph.
 
+    K4 and the diamond contain a C4, so the first ma class is the C4-free
+    graphs.  The classes are read off common-neighbor counts c(u, x): a C4
+    is a pair with c >= 2, a K23 a pair with c >= 3, a K3 an edge with
+    c >= 1 and a K4-e+v an edge with c >= 3; only C8 needs a subgraph
+    search (see ``formulas._theorem_classes``).
+
     The theorems allow different demands f1, f2 on the two sides; every
     regime here uses f1 = f2 = f, so the complement of a demand partition
     is one too.
@@ -421,6 +427,8 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
     elif threshold == Fraction(3, 5):
         if regularity(G) != 4 or not is_connected(G):
             raise PreconditionError("3/5 good pairs apply to connected 4-regular graphs")
+        if G.n == 5:  # the only 4-regular graph on 5 vertices
+            raise PreconditionError("K5 has q = 2/5 < 3/5; it has no 3/5 good pair")
     else:
         raise ParameterError(f"unsupported good-pair threshold {threshold}")
 

@@ -399,12 +399,13 @@ _FIXED_NAMES = {
 def build_named(name: str) -> Graph:
     """Resolve a string id to a graph.
 
-    Accepted forms: ``K<n>`` clique (two digits mean a complete bipartite
-    K_{m,n}, e.g. K33), ``K_<n>`` clique on any n >= 2 vertices (e.g.
-    K_12), ``K5-e`` clique minus an edge, ``C<n>`` cycle,
-    ``P<n>`` path, ``T<k>`` k-triangle, ``W<n>`` wheel, the fixed names
-    claw / diamond / K4ev / coK2claw / prism / cube / wagner / petersen,
-    and ``prod:<a>,<b>`` for a cartesian product of two named graphs.
+    Accepted forms: ``K<n>`` clique for one digit n (two digits mean a
+    complete bipartite K_{m,n}, e.g. K33; three or more are refused),
+    ``K_<n>`` clique on any n >= 2 vertices (e.g. K_12), ``K5-e`` clique
+    minus an edge, ``C<n>`` cycle, ``P<n>`` path, ``T<k>`` k-triangle,
+    ``W<n>`` wheel, the fixed names claw / diamond / K4ev / coK2claw /
+    prism / cube / wagner / petersen, and ``prod:<a>,<b>`` for a cartesian
+    product of two named graphs.
     """
     name = name.strip()
     if name.startswith("prod:"):
@@ -433,7 +434,10 @@ def build_named(name: str) -> Graph:
                 f"the clique on {name[1:]} vertices is K_{name[1:]}")
         return complete_bipartite(a, b)
     m = re.fullmatch(r"K(\d+)", name)
-    if m:
+    if m:  # one digit, or three or more
+        if len(m.group(1)) > 1:
+            raise ParameterError(
+                f"{name} is ambiguous; the clique on {name[1:]} vertices is K_{name[1:]}")
         return complete(int(m.group(1)))
     m = re.fullmatch(r"C(\d+)", name)
     if m:
@@ -499,7 +503,10 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
                 used[gv] = False
         return False
 
-    return extend(0)
+    try:
+        return extend(0)
+    finally:
+        del extend  # it refers to itself through its cell; free it now
 
 
 def contains_induced(G: Graph, pattern: Graph) -> bool:

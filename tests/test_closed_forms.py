@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_q
-from degratio.catalog import random_connected_graph
+from degratio.catalog import (base_catalog, cubic_catalog, product_pairs,
+                              random_connected_graph)
 from degratio import formulas
 from degratio.errors import (CertificateError, NoApplicableRule,
                              ParameterError, PreconditionError)
@@ -19,8 +20,8 @@ from degratio.formulas import (characterize_third, characterize_two_fifths,
                                ktriangle_q, product_cubic_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
 from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, cycle, graph_from_edges,
-                            is_isomorphic, k_triangle, path)
+                            complete_bipartite, contains_subgraph, cycle,
+                            graph_from_edges, is_isomorphic, k_triangle, path)
 from degratio.ratios import Bipartition, partition_quality, top_edge
 from degratio.solver import solve_q
 
@@ -163,6 +164,49 @@ def test_class_lower_bound_values():
     assert lb.value == Fraction(1, 2) and lb.strict
     lb = class_lower_bound(cartesian_product(complete(4), complete(4)))
     assert lb.value == Fraction(1, 2) and lb.strict and "prodmax" in lb.rules
+
+
+def _pattern_search_classes(G):
+    """The theorem classes by seven subgraph searches, as decided before the
+    common-neighbour counts: the reference for ``_theorem_classes``."""
+    k4ev_free = (not contains_subgraph(G, k_triangle(3))
+                 and not is_isomorphic(G, cycle(3)))
+    sparse_free = (
+        not (contains_subgraph(G, cycle(4)) or contains_subgraph(G, complete(4))
+             or contains_subgraph(G, build_named("diamond")))
+        or not (contains_subgraph(G, cycle(3)) or contains_subgraph(G, cycle(8))
+                or contains_subgraph(G, complete_bipartite(2, 3)))
+    )
+    return {"k4ev_free": k4ev_free, "sparse_free": sparse_free}
+
+
+def _class_test_graphs():
+    rng = random.Random(9)
+    for _ in range(400):
+        n = rng.randint(2, 11)
+        p = rng.choice((.15, .3, .5, .8))
+        if rng.random() < .3:
+            # bipartite draws: C4s without triangles reach the C8 search
+            yield graph_from_edges(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if (u + v) % 2 and rng.random() < p])
+        else:  # some of these are disconnected
+            yield graph_from_edges(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if rng.random() < p])
+    yield from base_catalog()
+    yield from cubic_catalog()
+    for _, _, P in product_pairs():
+        yield P
+
+
+def test_theorem_classes_match_pattern_search():
+    seen = set()
+    for G in _class_test_graphs():
+        classes = formulas._theorem_classes(G)
+        assert classes == _pattern_search_classes(G), (G, G.edges())
+        seen.add(tuple(classes.values()))
+    assert len(seen) == 4  # every combination of the two flags occurs
 
 
 def test_class_lower_bound_sound(catalog):

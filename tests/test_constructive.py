@@ -1,5 +1,6 @@
 """Degree-constrained partitions, good pairs, and connectivity splits."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -177,6 +178,15 @@ def test_good_pair_preconditions():
         find_good_pair(cycle(6))  # triangle-free
     with pytest.raises(ParameterError):
         find_good_pair(complete(6), threshold=Fraction(1, 2))
+
+
+def test_three_fifths_good_pair_refuses_k5(caplog):
+    # K5 is connected and 4-regular, but q(K5) = 2/5: it is refused before
+    # the case analysis, not by a failed fallback certificate
+    with caplog.at_level(logging.WARNING, logger="degratio.construct"):
+        with pytest.raises(PreconditionError, match="K5"):
+            find_good_pair(complete(5), threshold=Fraction(3, 5))
+    assert not caplog.records
 
 
 def test_extend_rejects_non_good_pair():

@@ -1,5 +1,6 @@
 """Graph construction, products, pattern detection, and the text format."""
 
+import gc
 import itertools
 import random
 
@@ -8,8 +9,8 @@ import pytest
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.graph import (Graph, bipartition_classes, build_named,
                             cartesian_product, complement, complete,
-                            complete_bipartite, connectivity, cycle,
-                            emit_graph, fiber, graph_from_edges, is_connected,
+                            complete_bipartite, connectivity,
+                            contains_subgraph, cycle, emit_graph, fiber, graph_from_edges, is_connected,
                             is_isomorphic, is_pattern_free, is_tree,
                             k_triangle, parse_graph, path, regularity)
 
@@ -39,6 +40,10 @@ def test_named_cliques_of_any_size():
     assert build_named("K_5") == complete(5)
     with pytest.raises(ParameterError, match="K_10"):
         build_named("K10")
+    for digits in ("100", "123", "0007"):
+        with pytest.raises(ParameterError, match=f"K_{digits}"):
+            build_named("K" + digits)
+    assert build_named("K_100").n == 100
 
 
 def test_k4_minus_e_plus_v_is_3_triangle():
@@ -137,6 +142,21 @@ def test_pattern_detection_matches_brute_force():
                 _embeds_brute_force(G, pattern, induced=False), (G.adj, pattern)
             assert contains_induced(G, pattern) == \
                 _embeds_brute_force(G, pattern, induced=True), (G.adj, pattern)
+
+
+def test_pattern_search_leaves_no_garbage_cycles():
+    G, H = build_named("petersen"), build_named("cube")
+    pattern = cycle(8)
+    gc.disable()
+    try:
+        gc.collect()
+        assert contains_subgraph(G, pattern)
+        assert not contains_subgraph(H, k_triangle(3))
+        assert is_isomorphic(G, build_named("petersen"))
+        assert not is_isomorphic(H, build_named("wagner"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_isomorphism_negative():
