@@ -54,7 +54,10 @@ class DegreeDemands:
     f: tuple[int, ...]
     regime: str
 
-    def validate(self, G: Graph):
+    def validate(self, G: Graph, classes: dict[str, bool] | None = None):
+        """Raise unless the regime's theorem applies to G.  ``classes`` is
+        ``formulas._theorem_classes(G)`` when the caller already has it; it
+        is computed here otherwise, and only for the hou and ma regimes."""
         if len(self.f) != G.n:
             raise ParameterError("the demand vector must cover every vertex")
         if any(x < 0 for x in self.f):
@@ -70,7 +73,7 @@ class DegreeDemands:
             bad = [v for v in range(G.n) if slack[v] < 0]
             if bad:
                 raise PreconditionError(f"d(x) >= 2f fails at {bad[0]}")
-            if not _theorem_classes(G)["k4ev_free"]:
+            if not (classes or _theorem_classes(G))["k4ev_free"]:
                 raise PreconditionError("hou regime needs a K4-e+v-subgraph-free graph")
         elif self.regime == "ma":
             if any(x < 2 for x in self.f):
@@ -78,7 +81,7 @@ class DegreeDemands:
             bad = [v for v in range(G.n) if slack[v] < -1]
             if bad:
                 raise PreconditionError(f"d(x) >= 2f-1 fails at {bad[0]}")
-            if not _theorem_classes(G)["sparse_free"]:
+            if not (classes or _theorem_classes(G))["sparse_free"]:
                 raise PreconditionError(
                     "ma regime needs a (C4,K4,diamond)- or (K3,C8,K23)-subgraph-free graph")
         else:
@@ -135,16 +138,22 @@ def degree_constrained_partition(G: Graph, demands: DegreeDemands,
     neighbors on its own side.
 
     The local search runs from the alternating start, then from each seed
-    partition of the solver (computed only when the first start stalls).
+    partition of the solver, each built only when every start before it
+    stalls.
     When every start stalls, the partition search with cap d(v) - f(v)
     decides; it raises :class:`BudgetExceededError` past ``budget``.
     """
     demands.validate(G)
+    return _demand_partition(G, demands, budget)
+
+
+def _demand_partition(G: Graph, demands: DegreeDemands, budget: int) -> Bipartition:
+    """:func:`degree_constrained_partition` for demands already validated."""
     n = G.n
     P = _demand_climb(G, demands.f, Bipartition(tuple(1 + i % 2 for i in range(n))))
     if P is not None:
         return P
-    for seed in _seed_partitions(G, budget):
+    for seed, _, _ in _seed_partitions(G, budget):
         P = _demand_climb(G, demands.f, seed)
         if P is not None:
             return P
@@ -189,7 +198,8 @@ def lower_bound_witness(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBoundWit
         else:
             value = Fraction(1, 2)
         strict, rule = False, "lowbound"
-    P = degree_constrained_partition(G, demands, budget)
+    demands.validate(G, classes)
+    P = _demand_partition(G, demands, budget)
     quality = certify(G, P, value, ">" if strict else ">=")
     return LowerBoundWitness(value, strict, rule, P, quality)
 

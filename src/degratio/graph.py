@@ -187,19 +187,27 @@ def split_side(G: Graph, u: int, v: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def cut_splits(G: Graph) -> list[frozenset[int]]:
-    """One side per bridge and per cut vertex of a connected graph: u's side
-    of each bridge uv, then, for each cut vertex c, the component of G - c
-    holding the fewest neighbors of c (ties to the smallest sorted set)."""
+def cut_splits(G: Graph) -> Iterator[frozenset[int]]:
+    """One side per bridge and per cut vertex of a connected graph, yielded
+    lazily: each flood fill runs only when its split is reached.
+
+    First u's side of each bridge uv, by decreasing min(d(u), d(v)), ties by
+    (u, v).  A bridge split cuts one edge, so its quality is exactly
+    m/(m + 1) for m = min(d(u), d(v)): the strongest bridge split comes
+    first, and on a tree it is optimal.  Then, for each cut vertex c in
+    label order, the component of G - c holding the fewest neighbors of c
+    (ties to the smallest sorted set)."""
     conn = connectivity(G)
-    splits = [split_side(G, u, v) for u, v in sorted(conn.bridges)]
+    adj = G.adj
+    deg = [len(a) for a in adj]
+    for u, v in sorted(conn.bridges, key=lambda e: (-min(deg[e[0]], deg[e[1]]), e)):
+        yield split_side(G, u, v)
     for c in sorted(conn.cut_vertices):
         comps: list[frozenset[int]] = []
-        for x in sorted(G.adj[c]):
+        for x in sorted(adj[c]):
             if not any(x in comp for comp in comps):
                 comps.append(split_side(G, x, c))
-        splits.append(min(comps, key=lambda s: (len(s & G.adj[c]), sorted(s))))
-    return splits
+        yield min(comps, key=lambda s: (len(s & adj[c]), sorted(s)))
 
 
 def is_tree(G: Graph) -> bool:
@@ -401,13 +409,20 @@ def build_named(name: str) -> Graph:
 
     Accepted forms: ``K<n>`` clique for one digit n (two digits mean a
     complete bipartite K_{m,n}, e.g. K33; three or more are refused),
-    ``K_<n>`` clique on any n >= 2 vertices (e.g. K_12), ``K5-e`` clique
-    minus an edge, ``C<n>`` cycle, ``P<n>`` path, ``T<k>`` k-triangle,
-    ``W<n>`` wheel, the fixed names claw / diamond / K4ev / coK2claw /
-    prism / cube / wagner / petersen, and ``prod:<a>,<b>`` for a cartesian
-    product of two named graphs.
+    ``K_<n>`` clique on any n >= 2 vertices (e.g. K_12), ``K_<m>_<n>``
+    complete bipartite K_{m,n} for any m, n >= 1 (e.g. K_3_12; the comma
+    form K_3,12 is refused, since ``prod:`` splits at the comma), ``K5-e``
+    clique minus an edge, ``C<n>`` cycle, ``P<n>`` path, ``T<k>``
+    k-triangle, ``W<n>`` wheel, the fixed names claw / diamond / K4ev /
+    coK2claw / prism / cube / wagner / petersen, and ``prod:<a>,<b>`` for a
+    cartesian product of two named graphs.
     """
     name = name.strip()
+    m = re.search(r"K_?(\d+),(\d+)", name)
+    if m:
+        raise ParameterError(
+            f"{m.group(0)} is not a graph id; K_{{{m.group(1)},{m.group(2)}}} "
+            f"is K_{m.group(1)}_{m.group(2)}")
     if name.startswith("prod:"):
         body = name[len("prod:"):]
         parts = body.split(",")
@@ -425,6 +440,9 @@ def build_named(name: str) -> Graph:
     m = re.fullmatch(r"K_(\d+)", name)
     if m:
         return complete(int(m.group(1))).relabel(name)
+    m = re.fullmatch(r"K_(\d+)_(\d+)", name)
+    if m:
+        return complete_bipartite(int(m.group(1)), int(m.group(2))).relabel(name)
     m = re.fullmatch(r"K(\d)(\d)", name)
     if m:
         a, b = int(m.group(1)), int(m.group(2))

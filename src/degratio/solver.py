@@ -2,9 +2,19 @@
 "q(G) >= q", and matching-cut detection, by one partition search; the
 degree-constrained partitions of ``construct`` use the same search.
 
-Each asks for a nontrivial partition in which each vertex v has at most
-cap[v] neighbors on the other side.  The caps do not depend on the side, so
-the search fixes vertex 0 on side 1 (complement symmetry halves the space).
+Seeding comes first, and it is goal-directed and lazy.  ``solve_q`` seeks
+the edge upper bound (top - 1)/top and ``decide`` its threshold q.  The
+starts are the cut splits, strongest bridge first, then the lifts of a
+product's factor solutions, the first half of a BFS order and a singleton.
+Each start is built and hill-climbed only when it is reached, a climb stops
+once it meets the goal, and seeding stops at the first seed that meets it.
+That seed settles the question with no search: on a tree, the strongest
+bridge split is already optimal.
+
+Each search asks for a nontrivial partition in which each vertex v has at
+most cap[v] neighbors on the other side.  The caps do not depend on the
+side, so the search fixes vertex 0 on side 1 (complement symmetry halves
+the space).
 
 The search branches in maximum-cardinality-search order: vertex 0 first,
 then always a vertex with the most placed neighbors, so each decision meets
@@ -67,6 +77,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Iterator
 
 from .errors import (BudgetExceededError, CertificateError, ParameterError,
                      PreconditionError)
@@ -117,11 +128,17 @@ def _bfs_order(G: Graph) -> list[int]:
     return order
 
 
-def _hill_climb(G: Graph, P: Bipartition) -> Bipartition:
+def _hill_climb(G: Graph, P: Bipartition,
+                goal: tuple[int, int] | None = None) -> tuple[Bipartition, int, int]:
     """Greedy single-vertex moves while the partition quality strictly
     improves, for at most 4n rounds.  Each round flips the first vertex, in
     index order, whose flip gives the strictly best quality; no flip may
-    empty a side.
+    empty a side.  With a ``goal`` (num, den), the climb stops at the start
+    of any round whose quality already meets num/den, so a start that meets
+    it costs one ratio sort.
+
+    Returns ``(partition, kept, d1)``: the partition reached and its quality
+    as an unreduced ratio kept/d1, known at exit without rescoring.
 
     Vertex v keeps ``kept[v]`` of its ``d1[v]`` closed neighbors on its side,
     and ratios kept/d1 are compared by cross-multiplying integers.  Flipping
@@ -141,6 +158,8 @@ def _hill_climb(G: Graph, P: Bipartition) -> Bipartition:
         order = sorted(range(n), key=by_ratio)
         best_v = -1
         bk, bd = kept[order[0]], d1[order[0]]  # the quality to beat, bk/bd
+        if goal is not None and bk * goal[1] >= goal[0] * bd:
+            break
         for v in range(n):
             s = side[v]
             if size[s] == 1:
@@ -178,7 +197,9 @@ def _hill_climb(G: Graph, P: Bipartition) -> Bipartition:
         kept[v] = d1[v] - kept[v] + 1
         for u in adjl[v]:
             kept[u] += -1 if side[u] == s else 1
-    return Bipartition(tuple(side))
+    # bk/bd is the quality of side: the last round's minimum ratio, or the
+    # scored quality of the last flip, which takes in every changed ratio
+    return Bipartition(tuple(side)), bk, bd
 
 
 def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:
@@ -195,40 +216,52 @@ def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipar
     return Bipartition(sides)
 
 
-def _seed_partitions(G: Graph, budget: int) -> list[Bipartition]:
+def _seed_partitions(G: Graph, budget: int, goal: tuple[int, int] | None = None
+                     ) -> Iterator[tuple[Bipartition, int, int]]:
+    """Yield hill-climbed seed partitions as ``(partition, kept, d1)``, with
+    each quality as an unreduced ratio kept/d1.
+
+    The starts come in this order: the cut splits (the strongest bridge
+    first), the lifts of both factors' optima and matching-cuts for a product
+    graph, the first half of a BFS order, and the singleton {0}.  Each start
+    is built and climbed only when it is reached, so a product's factor
+    sub-solves run only if no earlier seed settles the question.  With a
+    ``goal`` (num, den), each climb stops once it meets num/den, and so does
+    the seeding.  A disconnected graph has one seed, a component, of
+    quality 1.
+    """
     comps = components(G)
     if len(comps) > 1:
-        return [Bipartition.from_side1(G.n, comps[0])]  # quality 1, optimal
+        yield Bipartition.from_side1(G.n, comps[0]), 1, 1
+        return
 
-    seeds = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
-
-    if G.factors is not None:
-        Gf, Hf = G.factors
-        for which, F in (("left", Gf), ("right", Hf)):
-            sub = solve_q(F, budget=budget)
-            seeds.append(lift_partition(G, sub.optimal_partition, which))
-            cert = find_matching_cut(F, budget=budget)
-            if cert.has_cut:
-                seeds.append(lift_partition(G, cert.partition, which))
-
-    order = _bfs_order(G)
-    half = set(order[: G.n // 2])
-    seeds.append(Bipartition.from_side1(G.n, half))
-    seeds.append(Bipartition.from_side1(G.n, {0}))
+    def starts():
+        for s in cut_splits(G):
+            yield Bipartition.from_side1(G.n, s)
+        if G.factors is not None:
+            Gf, Hf = G.factors
+            for which, F in (("left", Gf), ("right", Hf)):
+                yield lift_partition(G, solve_q(F, budget=budget).optimal_partition, which)
+                cert = find_matching_cut(F, budget=budget)
+                if cert.has_cut:
+                    yield lift_partition(G, cert.partition, which)
+        yield Bipartition.from_side1(G.n, set(_bfs_order(G)[: G.n // 2]))
+        yield Bipartition.from_side1(G.n, {0})
 
     # the climb is deterministic, so a repeated start adds nothing new
-    improved = []
     started = set()
     seen = set()
-    for p in seeds:
+    for p in starts():
         if p.sides in started:
             continue
         started.add(p.sides)
-        p = _hill_climb(G, p)
-        if p.sides not in seen:
-            seen.add(p.sides)
-            improved.append(p)
-    return improved
+        p, k, d = _hill_climb(G, p, goal)
+        if p.sides in seen:
+            continue
+        seen.add(p.sides)
+        yield p, k, d
+        if goal is not None and k * goal[1] >= goal[0] * d:
+            return
 
 
 # -- the search engine -----------------------------------------------------
@@ -404,20 +437,20 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions.
 
-    ``method`` is ``"upper_bound_met"`` when the best seed already reaches
-    the edge upper bound and no search ran, and ``"pruned_search"`` otherwise;
-    the search, too, stops at the first leaf that reaches the bound.
+    ``method`` is ``"upper_bound_met"`` when a seed already reaches the
+    edge upper bound, which ends the seeding, and no search ran, and
+    ``"pruned_search"`` otherwise; the search, too, stops at the first leaf
+    that reaches the bound.
     """
-    seeds = _seed_partitions(G, budget)
-    best_part = seeds[0]
-    bk, bd = min_ratio(G, best_part.sides)
-    for p in seeds[1:]:
-        k, d = min_ratio(G, p.sides)
+    # the edge upper bound is (top - 1)/top; an edgeless graph is
+    # disconnected, and its one seed has quality 1
+    top = top_edge(G)[1] if G.num_edges else 1
+    best_part, bk, bd = None, 0, 1
+    for p, k, d in _seed_partitions(G, budget, (top - 1, top)):
         if k * bd > bk * d:
             best_part, bk, bd = p, k, d
     if bk == bd:  # disconnected optimum, nothing can beat it
         return SolveResult(Fraction(1), best_part, 0, "pruned_search")
-    _, top = top_edge(G)  # the edge upper bound is (top - 1)/top
     if bk * top == (top - 1) * bd:
         return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
 
@@ -452,8 +485,7 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
     if not 0 < q <= 1:
         raise ParameterError(f"threshold must satisfy 0 < q <= 1, got {q}")
     num, den = q.numerator, q.denominator
-    for p in _seed_partitions(G, budget):
-        k, d = min_ratio(G, p.sides)
+    for p, k, d in _seed_partitions(G, budget, (num, den)):
         if k * den >= num * d:
             return DecideResult(True, p, 0)
 

@@ -17,13 +17,13 @@ from degratio.construct import (DegreeDemands, GoodPair,
                                 find_good_pair, hou_demands, is_good_pair,
                                 lower_bound_witness, ma_demands,
                                 stiebitz_demands)
-from degratio import construct
+from degratio import construct, graph
 from degratio.errors import (BudgetExceededError, CertificateError,
                              ParameterError, PreconditionError)
-from degratio.formulas import two_fifths_family
+from degratio.formulas import tree_q, two_fifths_family
 from degratio.graph import (build_named, complete, connectivity, cut_splits,
                             cycle, graph_from_edges, is_connected,
-                            is_isomorphic, path)
+                            is_isomorphic, is_tree, path)
 from degratio.ratios import Bipartition, partition_quality
 
 
@@ -207,6 +207,42 @@ def test_connectivity_partition():
     assert connectivity_partition(complete(5)) is None
 
 
+def test_cut_splits_yield_the_strongest_bridge_first(monkeypatch):
+    # a bridge split's quality is m/(m + 1), m = min(d(u), d(v)), so the
+    # bridge splits come by decreasing quality, and on a tree the first one
+    # meets the edge upper bound
+    rng = random.Random(5)
+    for _ in range(80):
+        n = rng.randint(4, 14)
+        if rng.random() < 0.5:
+            G = random_connected_graph(rng, n, p=0.25)
+        else:  # a random tree
+            G = graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        splits = list(cut_splits(G))
+        bridges = len(connectivity(G).bridges)
+        scores = [partition_quality(G, Bipartition.from_side1(G.n, s)).quality
+                  for s in splits[:bridges]]
+        assert scores == sorted(scores, reverse=True)
+        if is_tree(G):
+            assert scores[0] == tree_q(G).value
+    fills = []
+    fill = graph.split_side
+    monkeypatch.setattr(graph, "split_side", lambda *args: fills.append(args) or fill(*args))
+    assert next(cut_splits(path(50))) == frozenset({0, 1})  # the first of 49 bridges
+    assert len(fills) == 1
+
+
+@pytest.mark.parametrize("name, rule", [("petersen", "lowboundC4free"), ("K4", "lowboundC3")])
+def test_lower_bound_witness_checks_the_classes_once(name, rule, monkeypatch):
+    # the ma and hou regimes both need the theorem classes, once to choose
+    # the regime and once to validate its demands
+    calls = []
+    classes = construct._theorem_classes
+    monkeypatch.setattr(construct, "_theorem_classes", lambda G: calls.append(G) or classes(G))
+    assert lower_bound_witness(build_named(name)).rule == rule
+    assert len(calls) == 1
+
+
 def test_connectivity_partition_takes_the_first_best_split():
     rng = random.Random(11)
     for _ in range(60):
@@ -226,7 +262,6 @@ def test_lower_bound_witness_certifies_a_strict_bound(monkeypatch):
     G = build_named("petersen")
     P = Bipartition.from_string("1122222222")
     assert partition_quality(G, P).quality == Fraction(1, 2)
-    monkeypatch.setattr(construct, "degree_constrained_partition",
-                        lambda G, demands, budget: P)
+    monkeypatch.setattr(construct, "_demand_partition", lambda G, demands, budget: P)
     with pytest.raises(CertificateError):
         lower_bound_witness(G)

@@ -46,6 +46,20 @@ def test_named_cliques_of_any_size():
     assert build_named("K_100").n == 100
 
 
+def test_named_complete_bipartite_with_large_parts():
+    G = build_named("K_3_12")
+    assert G == complete_bipartite(3, 12) and G.name == "K_3_12"
+    assert build_named("K_10_1") == complete_bipartite(10, 1)
+    assert build_named("K_3_3") == build_named("K33")
+    P = build_named("prod:K_3_12,K2")
+    assert P == cartesian_product(complete_bipartite(3, 12), complete(2))
+    for bad in ("K_3,12", "K3,12", "prod:K_3,12,K2"):
+        with pytest.raises(ParameterError, match="K_3_12"):
+            build_named(bad)
+    with pytest.raises(ParameterError):
+        build_named("K_0_3")
+
+
 def test_k4_minus_e_plus_v_is_3_triangle():
     assert is_isomorphic(build_named("K4ev"), k_triangle(3))
 

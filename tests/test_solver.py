@@ -14,7 +14,7 @@ from degratio.catalog import product_pairs, random_connected_graph
 from degratio import solver
 from degratio.errors import BudgetExceededError, CertificateError, \
     ParameterError, PreconditionError
-from degratio.formulas import edge_upper_bound
+from degratio.formulas import edge_upper_bound, tree_q
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             k_triangle, path)
@@ -36,9 +36,7 @@ def test_solver_matches_enumeration_oracle(seed):
     assert partition_quality(G, res.optimal_partition).quality == res.q
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 10), data=st.data())
-def test_hill_climb_matches_reference(n, data):
+def _graph_and_start(n, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     G = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
     if data.draw(st.booleans()):  # a singleton side
@@ -48,8 +46,34 @@ def test_hill_climb_matches_reference(n, data):
         sides = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
         if len(set(sides)) == 1:
             sides[0] = 3 - sides[0]
-    start = Bipartition(tuple(sides))
-    assert _hill_climb(G, start) == naive_climb(G, start)
+    return G, Bipartition(tuple(sides))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_hill_climb_matches_reference(n, data):
+    G, start = _graph_and_start(n, data)
+    assert _hill_climb(G, start)[0] == naive_climb(G, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_goal_directed_climb(n, data):
+    G, start = _graph_and_start(n, data)
+    den = data.draw(st.integers(1, 12))
+    goal = (data.draw(st.integers(1, den)), den)
+    full = naive_climb(G, start)
+    P, k, d = _hill_climb(G, start)
+    assert P == full
+    assert Fraction(k, d) == Fraction(*min_ratio(G, P.sides))
+    P, k, d = _hill_climb(G, start, goal)
+    assert Fraction(k, d) == Fraction(*min_ratio(G, P.sides))
+    if partition_quality(G, start).quality >= Fraction(*goal):
+        assert P == start  # no move
+    if partition_quality(G, full).quality >= Fraction(*goal):
+        assert Fraction(k, d) >= Fraction(*goal)
+    else:  # the goal is never met, so every move is made
+        assert P == full
 
 
 @pytest.mark.parametrize("G, start", [
@@ -62,7 +86,7 @@ def test_hill_climb_matches_reference(n, data):
 ])
 def test_hill_climb_small_cases(G, start):
     P = Bipartition.from_string(start)
-    assert _hill_climb(G, P) == naive_climb(G, P)
+    assert _hill_climb(G, P)[0] == naive_climb(G, P)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,6 +314,28 @@ def test_long_path_seeding_is_cheap():
     # 149 bridges and 148 cut vertices: about 300 hill-climb seeds for a
     # search of 299 nodes
     assert solve_q(path(150)).q == Fraction(2, 3)
+
+
+def _random_tree(rng: random.Random, n: int):
+    return graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("G", [_random_tree(random.Random(7), 1000), path(400)],
+                         ids=["random-tree-1000", "P400"])
+def test_seeding_stops_at_the_first_seed_that_settles_the_answer(G, monkeypatch):
+    # the strongest bridge split comes first and meets the edge upper bound,
+    # so neither call climbs a second seed nor searches
+    climbs = []
+    climb = solver._hill_climb
+    monkeypatch.setattr(solver, "_hill_climb",
+                        lambda *args: climbs.append(args) or climb(*args))
+    q = tree_q(G).value
+    res = solve_q(G)
+    assert (res.method, res.q, len(climbs)) == ("upper_bound_met", q, 1)
+    climbs.clear()
+    yes = decide(G, q)
+    assert (yes.satisfied, yes.explored, len(climbs)) == (True, 0, 1)
+    assert partition_quality(G, yes.witness).quality == q
 
 
 def test_sparse_200_vertex_graph():
