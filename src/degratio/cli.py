@@ -6,7 +6,9 @@ stdin) or from ``--named <id>``.  Exit codes: 0 ok, 1 usage or parse
 failure, 2 precondition violation or no applicable rule, 3 budget
 exhausted (inconclusive), 4 property falsified: a failed ``verify``
 property, or a :class:`CertificateError` from any command (a witness that
-misses its claimed value on recomputation), printed as one line.
+misses its claimed value on recomputation).  An error exit prints one line
+on stderr and, with ``--json``, one JSON object on stdout with the
+``command``, the ``error`` kind and the ``message``.
 """
 
 from __future__ import annotations
@@ -294,29 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# exception class -> exit code, stderr prefix and JSON error kind, first match
+_FAILURES = (
+    (GraphParseError, EXIT_USAGE, "parse error", "parse"),
+    (ParameterError, EXIT_USAGE, "error", "parameter"),
+    ((PreconditionError, NoApplicableRule), EXIT_PRECONDITION, "not applicable",
+     "precondition"),
+    (BudgetExceededError, EXIT_BUDGET, "inconclusive", "budget"),
+    (CertificateError, EXIT_FALSIFIED, "certificate failed", "certificate"),
+    (DegratioError, EXIT_USAGE, "error", "error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, NoApplicableRule) as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BudgetExceededError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CertificateError as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
     except DegratioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, prefix, kind = next((code, prefix, kind)
+                                  for cls, code, prefix, kind in _FAILURES
+                                  if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"command": args.command, "error": kind,
+                              "message": str(exc)}))
+        return code
 
 
 if __name__ == "__main__":

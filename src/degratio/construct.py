@@ -4,9 +4,9 @@ connectivity-based partitions.
 
 The partition-existence theorems behind the degree-constrained demands are
 non-constructive.  A potential-guided local search runs first, from an
-alternating start and then from the solver's seed partitions; when every
-start stalls, the solver's one partition search finishes the job under the
-caller's budget, with cap d(v) - f(v) on each vertex.  A demand regime
+alternating start; when it stalls, the solver's one partition search
+finishes the job under the caller's budget, with cap d(v) - f(v) on each
+vertex.  A demand regime
 whose preconditions hold but whose exhaustive search comes up empty raises
 :class:`CertificateError`, never a silent miss.
 """
@@ -23,7 +23,7 @@ from .formulas import _theorem_classes, two_fifths_family
 from .graph import (Graph, components, connectivity, cut_splits, cycle,
                     graph_from_edges, is_connected, is_isomorphic, regularity)
 from .ratios import Bipartition, certify, min_ratio
-from .solver import DEFAULT_BUDGET, _search, _seed_partitions, solve_q
+from .solver import DEFAULT_BUDGET, _search, solve_q
 
 log = logging.getLogger(__name__)
 
@@ -137,11 +137,9 @@ def degree_constrained_partition(G: Graph, demands: DegreeDemands,
     """A nontrivial partition in which each vertex v has at least f(v)
     neighbors on its own side.
 
-    The local search runs from the alternating start, then from each seed
-    partition of the solver, each built only when every start before it
-    stalls.
-    When every start stalls, the partition search with cap d(v) - f(v)
-    decides; it raises :class:`BudgetExceededError` past ``budget``.
+    The local search runs from the alternating start.  When it stalls, one
+    partition search with cap d(v) - f(v) decides; it raises
+    :class:`BudgetExceededError` past ``budget``.
     """
     demands.validate(G)
     return _demand_partition(G, demands, budget)
@@ -153,10 +151,6 @@ def _demand_partition(G: Graph, demands: DegreeDemands, budget: int) -> Bipartit
     P = _demand_climb(G, demands.f, Bipartition(tuple(1 + i % 2 for i in range(n))))
     if P is not None:
         return P
-    for seed, _, _ in _seed_partitions(G, budget):
-        P = _demand_climb(G, demands.f, seed)
-        if P is not None:
-            return P
     cap = [G.degree(v) - demands.f[v] for v in range(n)]
     _, sides = _search(G, cap, budget, lambda sides: True)
     if sides is None:

@@ -2,14 +2,13 @@
 "q(G) >= q", and matching-cut detection, by one partition search; the
 degree-constrained partitions of ``construct`` use the same search.
 
-Seeding comes first, and it is goal-directed and lazy.  ``solve_q`` seeks
-the edge upper bound (top - 1)/top and ``decide`` its threshold q.  The
-starts are the cut splits, strongest bridge first, then the lifts of a
-product's factor solutions, the first half of a BFS order and a singleton.
-Each start is built and hill-climbed only when it is reached, a climb stops
-once it meets the goal, and seeding stops at the first seed that meets it.
-That seed settles the question with no search: on a tree, the strongest
-bridge split is already optimal.
+``solve_q`` and ``decide`` each run exactly one search and no sub-solve, so
+the budget bounds the whole call and ``explored`` counts all of its work.
+The only shortcut is a disconnected graph, which a component splits with
+quality 1.  ``solve_q`` starts from the incumbent 0/1, under which the caps
+allow every partition, and finds its own incumbents at the leaves; it
+stops at the first leaf that meets the edge upper bound (top - 1)/top.
+``decide`` stops at its first leaf.
 
 Each search asks for a nontrivial partition in which each vertex v has at
 most cap[v] neighbors on the other side.  The caps do not depend on the
@@ -76,13 +75,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterator
 
 from .errors import (BudgetExceededError, CertificateError, ParameterError,
                      PreconditionError)
-from .graph import (Graph, cartesian_product, components, cut_splits,
-                    is_connected)
+from .graph import Graph, cartesian_product, components, is_connected
 from .ratios import (Bipartition, MatchingCutCertificate, certify,
                      crossing_edges, is_matching, min_ratio, top_edge)
 
@@ -105,163 +101,6 @@ class DecideResult:
 
     def __bool__(self):
         return self.satisfied
-
-
-# -- seed partitions --------------------------------------------------------
-
-
-def _bfs_order(G: Graph) -> list[int]:
-    order = [0]
-    seen = [False] * G.n
-    seen[0] = True
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in sorted(G.adj[v]):
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-    for v in range(G.n):  # disconnected leftovers
-        if not seen[v]:
-            order.append(v)
-    return order
-
-
-def _hill_climb(G: Graph, P: Bipartition,
-                goal: tuple[int, int] | None = None) -> tuple[Bipartition, int, int]:
-    """Greedy single-vertex moves while the partition quality strictly
-    improves, for at most 4n rounds.  Each round flips the first vertex, in
-    index order, whose flip gives the strictly best quality; no flip may
-    empty a side.  With a ``goal`` (num, den), the climb stops at the start
-    of any round whose quality already meets num/den, so a start that meets
-    it costs one ratio sort.
-
-    Returns ``(partition, kept, d1)``: the partition reached and its quality
-    as an unreduced ratio kept/d1, known at exit without rescoring.
-
-    Vertex v keeps ``kept[v]`` of its ``d1[v]`` closed neighbors on its side,
-    and ratios kept/d1 are compared by cross-multiplying integers.  Flipping
-    v changes only the ratios in N[v], so a flip is scored from N[v] and from
-    the smallest ratio outside N[v]: the first vertex outside N[v] in the
-    round's ratio order.
-    """
-    n = G.n
-    adj = G.adj
-    adjl = [tuple(a) for a in adj]
-    d1 = [len(a) + 1 for a in adjl]
-    side = list(P.sides)
-    size = [0, side.count(1), side.count(2)]
-    kept = [1 + [side[u] for u in a].count(s) for a, s in zip(adjl, side)]
-    by_ratio = cmp_to_key(lambda a, b: kept[a] * d1[b] - kept[b] * d1[a])
-    for _ in range(4 * n):
-        order = sorted(range(n), key=by_ratio)
-        best_v = -1
-        bk, bd = kept[order[0]], d1[order[0]]  # the quality to beat, bk/bd
-        if goal is not None and bk * goal[1] >= goal[0] * bd:
-            break
-        for v in range(n):
-            s = side[v]
-            if size[s] == 1:
-                continue  # would empty a side
-            mk = md = 1  # the flipped quality so far, mk/md; 1 is the top
-            nv = adj[v]
-            for w in order:
-                if w != v and w not in nv:
-                    mk, md = kept[w], d1[w]
-                    break
-            if mk * bd <= bk * md:
-                continue
-            dv = d1[v]
-            kv = dv - kept[v] + 1
-            if kv * bd <= bk * dv:
-                continue
-            if kv * md < mk * dv:
-                mk, md = kv, dv
-            for u in adjl[v]:
-                ku = kept[u] - 1 if side[u] == s else kept[u] + 1
-                du = d1[u]
-                if ku * bd <= bk * du:
-                    break
-                if ku * md < mk * du:
-                    mk, md = ku, du
-            else:
-                best_v, bk, bd = v, mk, md
-        if best_v < 0:
-            break
-        v = best_v
-        s = side[v]
-        side[v] = 3 - s
-        size[s] -= 1
-        size[3 - s] += 1
-        kept[v] = d1[v] - kept[v] + 1
-        for u in adjl[v]:
-            kept[u] += -1 if side[u] == s else 1
-    # bk/bd is the quality of side: the last round's minimum ratio, or the
-    # scored quality of the last flip, which takes in every changed ratio
-    return Bipartition(tuple(side)), bk, bd
-
-
-def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:
-    """Copy a factor partition fiber-wise onto a product graph."""
-    if P.factors is None:
-        raise PreconditionError("graph has no product provenance")
-    G, H = P.factors
-    if which == "left":
-        sides = tuple(factor_partition.sides[v // H.n] for v in range(P.n))
-    elif which == "right":
-        sides = tuple(factor_partition.sides[v % H.n] for v in range(P.n))
-    else:
-        raise ParameterError(f"which must be 'left' or 'right', got {which!r}")
-    return Bipartition(sides)
-
-
-def _seed_partitions(G: Graph, budget: int, goal: tuple[int, int] | None = None
-                     ) -> Iterator[tuple[Bipartition, int, int]]:
-    """Yield hill-climbed seed partitions as ``(partition, kept, d1)``, with
-    each quality as an unreduced ratio kept/d1.
-
-    The starts come in this order: the cut splits (the strongest bridge
-    first), the lifts of both factors' optima and matching-cuts for a product
-    graph, the first half of a BFS order, and the singleton {0}.  Each start
-    is built and climbed only when it is reached, so a product's factor
-    sub-solves run only if no earlier seed settles the question.  With a
-    ``goal`` (num, den), each climb stops once it meets num/den, and so does
-    the seeding.  A disconnected graph has one seed, a component, of
-    quality 1.
-    """
-    comps = components(G)
-    if len(comps) > 1:
-        yield Bipartition.from_side1(G.n, comps[0]), 1, 1
-        return
-
-    def starts():
-        for s in cut_splits(G):
-            yield Bipartition.from_side1(G.n, s)
-        if G.factors is not None:
-            Gf, Hf = G.factors
-            for which, F in (("left", Gf), ("right", Hf)):
-                yield lift_partition(G, solve_q(F, budget=budget).optimal_partition, which)
-                cert = find_matching_cut(F, budget=budget)
-                if cert.has_cut:
-                    yield lift_partition(G, cert.partition, which)
-        yield Bipartition.from_side1(G.n, set(_bfs_order(G)[: G.n // 2]))
-        yield Bipartition.from_side1(G.n, {0})
-
-    # the climb is deterministic, so a repeated start adds nothing new
-    started = set()
-    seen = set()
-    for p in starts():
-        if p.sides in started:
-            continue
-        started.add(p.sides)
-        p, k, d = _hill_climb(G, p, goal)
-        if p.sides in seen:
-            continue
-        seen.add(p.sides)
-        yield p, k, d
-        if goal is not None and k * goal[1] >= goal[0] * d:
-            return
 
 
 # -- the search engine -----------------------------------------------------
@@ -434,26 +273,27 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
         ok = assign(order[i], 2)
 
 
+def _component_split(G: Graph) -> Bipartition | None:
+    """A partition with one component on side 1 when G is disconnected; it
+    has quality 1, which no partition beats.  None for a connected graph."""
+    comps = components(G)
+    return Bipartition.from_side1(G.n, comps[0]) if len(comps) > 1 else None
+
+
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions.
 
-    ``method`` is ``"upper_bound_met"`` when a seed already reaches the
-    edge upper bound, which ends the seeding, and no search ran, and
-    ``"pruned_search"`` otherwise; the search, too, stops at the first leaf
-    that reaches the bound.
+    A disconnected graph answers at once with a component.  Otherwise one
+    branch and bound runs from the incumbent 0/1.  ``method`` is
+    ``"upper_bound_met"`` when the run stopped at a partition that meets an
+    upper bound, the edge bound (top - 1)/top or 1 for a disconnected
+    graph, and ``"pruned_search"`` when the search was exhausted.
     """
-    # the edge upper bound is (top - 1)/top; an edgeless graph is
-    # disconnected, and its one seed has quality 1
-    top = top_edge(G)[1] if G.num_edges else 1
+    split = _component_split(G)
+    if split is not None:
+        return SolveResult(Fraction(1), split, 0, "upper_bound_met")
+    top = top_edge(G)[1]
     best_part, bk, bd = None, 0, 1
-    for p, k, d in _seed_partitions(G, budget, (top - 1, top)):
-        if k * bd > bk * d:
-            best_part, bk, bd = p, k, d
-    if bk == bd:  # disconnected optimum, nothing can beat it
-        return SolveResult(Fraction(1), best_part, 0, "pruned_search")
-    if bk * top == (top - 1) * bd:
-        return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
-
     d1 = [len(a) + 1 for a in G.adj]
     cap: list[int] = []
 
@@ -472,23 +312,23 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
         return bk * top == (top - 1) * bd  # nothing beats the upper bound
 
     require_better_than(bk, bd)
-    explored, _ = _search(G, cap, budget, improve)
-    return SolveResult(Fraction(bk, bd), best_part, explored, "pruned_search")
+    explored, stop = _search(G, cap, budget, improve)
+    method = "pruned_search" if stop is None else "upper_bound_met"
+    return SolveResult(Fraction(bk, bd), best_part, explored, method)
 
 
 # -- the decision problem ---------------------------------------------------
 
 
 def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
-    """Is there a nontrivial partition of quality >= q?  Short-circuits on the
-    first witness."""
+    """Is there a nontrivial partition of quality >= q?  One search, which
+    stops at the first witness; a disconnected graph answers yes at once."""
     if not 0 < q <= 1:
         raise ParameterError(f"threshold must satisfy 0 < q <= 1, got {q}")
+    split = _component_split(G)
+    if split is not None:
+        return DecideResult(True, split, 0)
     num, den = q.numerator, q.denominator
-    for p, k, d in _seed_partitions(G, budget, (num, den)):
-        if k * den >= num * d:
-            return DecideResult(True, p, 0)
-
     # kept/d1 >= q  <=>  cross <= d1 * (den - num) // den
     cap = [(len(a) + 1) * (den - num) // den for a in G.adj]
     explored, sides = _search(G, cap, budget, lambda sides: True)
@@ -526,6 +366,20 @@ def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
     if sides is None:
         return MatchingCutCertificate(False, None, (), exhaustive=True)
     return _matching_cut_certificate(G, Bipartition(sides))
+
+
+def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:
+    """Copy a factor partition fiber-wise onto a product graph."""
+    if P.factors is None:
+        raise PreconditionError("graph has no product provenance")
+    G, H = P.factors
+    if which == "left":
+        sides = tuple(factor_partition.sides[v // H.n] for v in range(P.n))
+    elif which == "right":
+        sides = tuple(factor_partition.sides[v % H.n] for v in range(P.n))
+    else:
+        raise ParameterError(f"which must be 'left' or 'right', got {which!r}")
+    return Bipartition(sides)
 
 
 def _product_certificate(P: Graph, budget: int) -> MatchingCutCertificate:

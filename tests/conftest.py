@@ -15,7 +15,7 @@ import pytest
 
 from degratio.catalog import random_connected_graph
 from degratio.graph import Graph, graph_from_edges
-from degratio.ratios import Bipartition, partition_quality
+from degratio.ratios import Bipartition
 
 
 def naive_q(G: Graph) -> tuple[Fraction, Bipartition]:
@@ -80,29 +80,6 @@ def witness_set() -> tuple[Graph, ...]:
     rng = random.Random(7)
     return tuple(random_connected_graph(rng, n, p) for n in (23, 26, 30, 40, 60)
                  for p in (.1, .2, .4, .7) for _ in range(5))
-
-
-def naive_climb(G: Graph, P: Bipartition) -> Bipartition:
-    """Reference hill climb: each round rescores every single-vertex flip
-    that leaves both sides nonempty and takes the first strictly best one,
-    for at most 4n rounds."""
-    cur = P
-    cur_q = partition_quality(G, cur).quality
-    for _ in range(4 * G.n):
-        best, best_q = None, cur_q
-        for v in range(G.n):
-            sides = list(cur.sides)
-            sides[v] = 3 - sides[v]
-            if sides.count(cur.sides[v]) == 0:
-                continue
-            cand = Bipartition(tuple(sides))
-            q = partition_quality(G, cand).quality
-            if q > best_q:
-                best, best_q = cand, q
-        if best is None:
-            return cur
-        cur, cur_q = best, best_q
-    return cur
 
 
 @pytest.fixture(scope="session")

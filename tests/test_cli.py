@@ -82,8 +82,8 @@ def test_bound_takes_the_larger_lower_bound(capsys):
 
 
 def test_bound_reports_a_missing_witness(tmp_path, capsys):
-    # the local search stalls from every start here, so the partition
-    # search runs and exceeds the budget
+    # the local search stalls from the alternating start here, so the
+    # partition search runs and exceeds the budget
     f = tmp_path / "dense60.txt"
     f.write_text(emit_graph(witness_set()[94]))
     code, out, _ = run(capsys, "bound", str(f), "--budget", "1")
@@ -184,6 +184,27 @@ def test_failed_certificate_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "decide", "--named", "K4", "--q", "3/4")
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["solve", "BAD", "--json"], 1, "parse"),
+    (["solve", "--named", "K10", "--json"], 1, "parameter"),
+    (["closed-form", "--named", "C5", "--json"], 2, "precondition"),
+    (["solve", "--named", "petersen", "--budget", "5", "--json"], 3, "budget"),
+    (["decide", "--named", "K4", "--q", "3/4", "--json"], 4, "certificate"),
+])
+def test_error_exits_print_json(argv, code, kind, tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("p 3 1\ne 1 9\n")
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    if kind == "certificate":
+        # a search leaf of quality 1/2 offered as a witness for q(K4) >= 3/4
+        monkeypatch.setattr(solver, "_search",
+                            lambda G, cap, budget, on_leaf: (1, (1, 1, 2, 2)))
+    got, out, err = run(capsys, *argv)
+    doc = json.loads(out)
+    assert got == code and doc["command"] == argv[0] and doc["error"] == kind
+    assert len(err.splitlines()) == 1 and doc["message"] in err
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -101,8 +101,8 @@ def test_lower_bound_witness_beyond_22_vertices():
 
 
 def test_lower_bound_witness_honours_the_budget():
-    # every start of the local search stalls on this dense 60-vertex graph,
-    # and the partition search then needs 116 assignments
+    # the local search stalls from the alternating start on this dense
+    # 60-vertex graph, and the partition search then needs 116 assignments
     G = witness_set()[97]
     budget = 16
     try:
