@@ -7,15 +7,14 @@ cubic, 4reg, prodcub, prodkregtree, lowbound, c3, d6.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CertificateError, NoApplicableRule, ParameterError,
-                     PreconditionError)
-from .graph import (Graph, build_named, cartesian_product, complete,
-                    complete_bipartite, contains_subgraph, cycle, is_connected,
-                    is_isomorphic, is_tree, k_triangle, regularity, split_side)
+from .errors import (BudgetExceededError, CertificateError, NoApplicableRule,
+                     ParameterError, PreconditionError)
+from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
+                    contains_subgraph, cycle, is_connected, is_isomorphic,
+                    is_tree, regularity, split_side)
 from .ratios import Bipartition, certify, top_edge
 from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 
@@ -81,9 +80,10 @@ def _theorem_classes(G: Graph) -> dict[str, bool]:
     triangle = c4 = k23 = False
     for u in range(G.n):
         nu = adj[u]
-        common = Counter()
+        common: dict[int, int] = {}
         for w in nu:
-            common.update(adj[w])
+            for x in adj[w]:
+                common[x] = common.get(x, 0) + 1
         common.pop(u, None)
         triangle = triangle or not nu.isdisjoint(common)
         top = max(common.values(), default=0)
@@ -123,9 +123,14 @@ def class_lower_bound(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBound:
         candidates.append(LowerBound(Fraction(1, 2), True, ("prodlowbound",)))
         Gf, Hf = G.factors
         if Gf.n <= 12 and Hf.n <= 12:
-            factor_max = max(solve_q(Gf, budget=budget).q,
-                             solve_q(Hf, budget=budget).q)
-            candidates.append(LowerBound(factor_max, True, ("prodmax",)))
+            # the two factor solves draw on the one budget
+            left = solve_q(Gf, budget=budget)
+            try:
+                right = solve_q(Hf, budget=budget - left.explored)
+            except BudgetExceededError as exc:
+                exc.explored += left.explored
+                raise
+            candidates.append(LowerBound(max(left.q, right.q), True, ("prodmax",)))
 
     best = max(candidates, key=lambda lb: (lb.value, lb.strict))
     rules = tuple(sorted({r for lb in candidates
@@ -173,10 +178,12 @@ def cubic_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     witness otherwise."""
     if regularity(G) != 3 or not is_connected(G):
         raise PreconditionError("cubic formula needs a connected 3-regular graph")
-    if is_isomorphic(G, complete(4)):
+    # K4 is the only cubic graph on 4 vertices, and K33 the bipartite one on
+    # 6 (the other one, the prism, has triangles)
+    if G.n == 4:
         return FormulaVerdict(Fraction(1, 2), "cubic",
                               clique_q(4).witness)
-    if is_isomorphic(G, complete_bipartite(3, 3)):
+    if G.n == 6 and bipartition_classes(G) is not None:
         res = solve_q(G, budget=budget)
         return FormulaVerdict(res.q, "cubic", res.optimal_partition)
     cert = find_matching_cut(G, budget=budget)
@@ -190,7 +197,7 @@ def four_regular_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     matching-cut exists, else 3/5 (witness solver-derived)."""
     if regularity(G) != 4 or not is_connected(G):
         raise PreconditionError("4-regular formula needs a connected 4-regular graph")
-    if is_isomorphic(G, complete(5)):
+    if G.n == 5:  # K5 is the only 4-regular graph on 5 vertices
         return FormulaVerdict(Fraction(2, 5), "4reg", clique_q(5).witness)
     cert = find_matching_cut(G, budget=budget)
     if cert.has_cut:
@@ -227,8 +234,8 @@ def product_cubic_q(G: Graph, H: Graph,
         if regularity(F) != 3 or not is_connected(F):
             raise PreconditionError("both factors must be connected cubic graphs")
     P = cartesian_product(G, H)
-    special = lambda F: (is_isomorphic(F, complete(4))
-                         or is_isomorphic(F, complete_bipartite(3, 3)))
+    # K4 or K33, recognized as in cubic_q
+    special = lambda F: F.n == 4 or (F.n == 6 and bipartition_classes(F) is not None)
     if special(G) and special(H):
         # two adjacent left-factor fibers against the rest
         a = 0
@@ -258,13 +265,16 @@ def closed_form(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
 def _first_rule(G: Graph, budget: int) -> FormulaVerdict:
     if not is_connected(G):
         raise PreconditionError("closed forms apply to connected graphs")
-    if is_isomorphic(G, complete(G.n)):
-        return clique_q(G.n)
-    if G.n >= 3 and is_isomorphic(G, k_triangle(G.n - 2)):
-        # split the input's own base pair (the two top-degree vertices) and
-        # give the first half of the apexes to the first base vertex
-        k = G.n - 2
-        a, _, *apexes = sorted(G.vertices(), key=lambda v: -G.degree(v))
+    n = G.n
+    if 2 * G.num_edges == n * (n - 1):
+        return clique_q(n)
+    degrees = [len(a) for a in G.adj]
+    if n >= 3 and degrees.count(n - 1) == 2 and degrees.count(2) == n - 2:
+        # T_k: two vertices see all others, so the rest see only those two.
+        # Split the input's own base pair and give the first half of the
+        # apexes to the first base vertex
+        k = n - 2
+        a, _, *apexes = sorted(G.vertices(), key=lambda v: -degrees[v])
         witness = Bipartition.from_side1(G.n, [a] + apexes[: k // 2])
         return FormulaVerdict(ktriangle_q(k).value, "ktriangle", witness)
     if is_tree(G):

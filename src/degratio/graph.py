@@ -32,15 +32,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"graphs must have at least 2 vertices, got n={self.n}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if len(adj) != n:
             raise ParameterError("adjacency length does not match vertex count")
-        for v, nbrs in enumerate(self.adj):
+        for v, nbrs in enumerate(adj):
             if v in nbrs:
                 raise ParameterError(f"self-loop at vertex {v}")
             for u in nbrs:
-                if not 0 <= u < self.n:
+                if not 0 <= u < n:
                     raise ParameterError(f"neighbor {u} of {v} out of range")
-                if v not in self.adj[u]:
+                if v not in adj[u]:
                     raise ParameterError(f"adjacency not symmetric at edge {v}-{u}")
 
     # -- basic quantities ---------------------------------------------------
@@ -267,17 +268,14 @@ def cartesian_product(G: Graph, H: Graph) -> Graph:
     for F in (G, H):
         if not is_connected(F):
             raise PreconditionError("product factors must be connected")
-    edges = []
-    for g in range(G.n):
-        for u, v in H.edges():
-            edges.append((g * H.n + u, g * H.n + v))
-    for h in range(H.n):
-        for u, v in G.edges():
-            edges.append((u * H.n + h, v * H.n + h))
+    hn = H.n
+    # (g, h) is adjacent to (g, y) for y ~ h and to (x, h) for x ~ g
+    adj = tuple(frozenset([g * hn + y for y in nh] + [x * hn + h for x in ng])
+                for g, ng in enumerate(G.adj) for h, nh in enumerate(H.adj))
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
-    return graph_from_edges(G.n * H.n, edges, name=name, factors=(G, H))
+    return Graph(G.n * hn, adj, name=name, factors=(G, H))
 
 
 def fiber(P: Graph, which: str, anchor: int) -> tuple[int, ...]:
@@ -566,16 +564,38 @@ def is_isomorphic(G: Graph, H: Graph) -> bool:
 
 
 def parse_graph(text: str, name: str | None = None) -> Graph:
-    """Parse the ``p <n> <m>`` / ``e <u> <v>`` text format (1-indexed)."""
-    n = None
-    m = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    """Parse the ``p <n> <m>`` / ``e <u> <v>`` text format (1-indexed).
+
+    Repeated and reversed edges are accepted, and each edge counts once
+    against the declared m."""
+    n = m = None
+    adj: list[set[int]] = []
+    edges = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields[0] == "p":
+        if not fields:
+            continue
+        kind = fields[0]
+        if kind == "e":
+            if n is None:
+                raise GraphParseError("e line before p line", lineno)
+            if len(fields) != 3:
+                raise GraphParseError("e line must be 'e <u> <v>'", lineno)
+            try:
+                u = int(fields[1]) - 1
+                v = int(fields[2]) - 1
+            except ValueError:
+                raise GraphParseError("e line has non-integer endpoints", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(f"endpoint out of range 1..{n}", lineno)
+            if u == v:
+                raise GraphParseError("self-loop", lineno)
+            nu = adj[u]
+            if v not in nu:
+                nu.add(v)
+                adj[v].add(u)
+                edges += 1
+        elif kind == "p":
             if n is not None:
                 raise GraphParseError("duplicate p line", lineno)
             if len(fields) != 3:
@@ -584,28 +604,14 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
                 n, m = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GraphParseError("p line has non-integer fields", lineno)
-        elif fields[0] == "e":
-            if n is None:
-                raise GraphParseError("e line before p line", lineno)
-            if len(fields) != 3:
-                raise GraphParseError("e line must be 'e <u> <v>'", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphParseError("e line has non-integer endpoints", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(f"endpoint out of range 1..{n}", lineno)
-            if u == v:
-                raise GraphParseError("self-loop", lineno)
-            edges.append((u - 1, v - 1))
-        else:
-            raise GraphParseError(f"unknown line type {fields[0]!r}", lineno)
+            adj = [set() for _ in range(n)]
+        elif not kind.startswith("c"):  # lines starting with c are comments
+            raise GraphParseError(f"unknown line type {kind!r}", lineno)
     if n is None:
         raise GraphParseError("missing p line")
-    dedup = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    if m is not None and m != len(dedup):
-        raise GraphParseError(f"p line declares {m} edges but {len(dedup)} given")
-    return graph_from_edges(n, dedup, name=name)
+    if m != edges:
+        raise GraphParseError(f"p line declares {m} edges but {edges} given")
+    return Graph(n, tuple(map(frozenset, adj)), name=name)
 
 
 def emit_graph(G: Graph) -> str:

@@ -39,9 +39,10 @@ class Bipartition:
     sides: tuple[int, ...]  # 1 or 2 per vertex
 
     def __post_init__(self):
-        if any(s not in (1, 2) for s in self.sides):
+        labels = set(self.sides)
+        if not labels <= {1, 2}:
             raise ParameterError("side labels must be 1 or 2")
-        if 1 not in self.sides or 2 not in self.sides:
+        if len(labels) < 2:
             raise ParameterError("both sides of a partition must be nonempty")
 
     @classmethod
@@ -95,12 +96,26 @@ class QualityReport:
 
 def partition_quality(G: Graph, P: Bipartition) -> QualityReport:
     """Minimum vertex ratio over the partition, with the smallest attaining
-    vertex as witness."""
+    vertex as witness.
+
+    One ``Fraction`` is built per distinct (kept, d[v]) pair, and the minimum
+    is found by cross-multiplying ints; the witness is the first vertex whose
+    ratio has the minimum value (2/4 and 1/2 tie)."""
     _check(G, P)
-    per_vertex = tuple(vertex_ratio(G, P, v) for v in range(G.n))
-    quality = min(per_vertex)
-    witness = per_vertex.index(quality)
-    return QualityReport(per_vertex, quality, witness)
+    sides = P.sides
+    ratios: dict[tuple[int, int], Fraction] = {}
+    per_vertex = []
+    bk, bd, witness = 2, 1, 0
+    for v, (a, s) in enumerate(zip(G.adj, sides)):
+        k = 1 + [sides[u] for u in a].count(s)
+        d = len(a) + 1
+        r = ratios.get((k, d))
+        if r is None:
+            r = ratios[k, d] = Fraction(k, d)
+        per_vertex.append(r)
+        if k * bd < bk * d:
+            bk, bd, witness = k, d, v
+    return QualityReport(tuple(per_vertex), ratios[bk, bd], witness)
 
 
 def min_ratio(G: Graph, sides) -> tuple[int, int]:

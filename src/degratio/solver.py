@@ -349,23 +349,47 @@ def _matching_cut_certificate(G: Graph, P: Bipartition) -> MatchingCutCertificat
     return MatchingCutCertificate(True, P, crossing, exhaustive=True)
 
 
+def _cut_partition(G: Graph, budget: int,
+                   product_rule: bool = True) -> tuple[int, Bipartition | None]:
+    """A matching-cut partition of a connected graph, or None when it has
+    none, with the number of assignments made.
+
+    With ``product_rule``, a product with provenance is decided through its
+    factors: it has a matching-cut iff some factor has one, and a factor cut
+    lifts fiber-wise.  The factor searches draw on the one budget in turn.
+    """
+    if not (product_rule and G.factors):
+        # a vertex with two cross neighbors kills the branch, so a leaf is a cut
+        explored, sides = _search(G, [1] * G.n, budget, lambda sides: True)
+        return explored, None if sides is None else Bipartition(sides)
+    spent = 0
+    for which, F in zip(("left", "right"), G.factors):
+        try:
+            explored, part = _cut_partition(F, budget - spent)
+        except BudgetExceededError as exc:
+            exc.explored += spent
+            raise
+        spent += explored
+        if part is not None:
+            return spent, lift_partition(G, part, which)
+    return spent, None
+
+
 def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
                       use_product_rule: bool = True) -> MatchingCutCertificate:
     """Certificate for matching-cut existence in a connected graph.
 
     Product graphs with provenance are decided through their factors (the
-    factor rule both finds a lifted cut and certifies absence); pass
-    ``use_product_rule=False`` to force the raw exhaustive search.
+    factor rule both finds a lifted cut and certifies absence), whose
+    searches share ``budget``; pass ``use_product_rule=False`` to force the
+    raw exhaustive search.
     """
     if not is_connected(G):
         raise PreconditionError("matching-cut search needs a connected graph")
-    if use_product_rule and G.factors is not None:
-        return _product_certificate(G, budget)
-    # a vertex with two cross neighbors kills the branch, so a leaf is a cut
-    _, sides = _search(G, [1] * G.n, budget, lambda sides: True)
-    if sides is None:
+    _, part = _cut_partition(G, budget, use_product_rule)
+    if part is None:
         return MatchingCutCertificate(False, None, (), exhaustive=True)
-    return _matching_cut_certificate(G, Bipartition(sides))
+    return _matching_cut_certificate(G, part)
 
 
 def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:
@@ -382,23 +406,9 @@ def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipar
     return Bipartition(sides)
 
 
-def _product_certificate(P: Graph, budget: int) -> MatchingCutCertificate:
-    Gf, Hf = P.factors
-    for which, F in (("left", Gf), ("right", Hf)):
-        cert = find_matching_cut(F, budget=budget)
-        if cert.has_cut:
-            return _matching_cut_certificate(
-                P, lift_partition(P, cert.partition, which))
-    return MatchingCutCertificate(False, None, (), exhaustive=True)
-
-
 def product_matching_cut(G: Graph, H: Graph,
                          budget: int = DEFAULT_BUDGET) -> MatchingCutCertificate:
     """Matching-cut certificate for the cartesian product G box H, decided by
     the factor rule: the product has a matching-cut iff some factor has one,
-    and a factor cut lifts fiber-wise."""
-    for F in (G, H):
-        if not is_connected(F):
-            raise PreconditionError("product factors must be connected")
-    P = cartesian_product(G, H)
-    return _product_certificate(P, budget)
+    and a factor cut lifts fiber-wise.  Both factors must be connected."""
+    return find_matching_cut(cartesian_product(G, H), budget)

@@ -19,9 +19,11 @@ from degratio.formulas import (characterize_third, characterize_two_fifths,
                                cubic_q, edge_upper_bound, four_regular_q,
                                ktriangle_q, product_cubic_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
+from degratio import graph as graph_module
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, contains_subgraph, cycle,
-                            graph_from_edges, is_isomorphic, k_triangle, path)
+                            graph_from_edges, is_isomorphic, is_tree,
+                            k_triangle, path, regularity)
 from degratio.ratios import Bipartition, partition_quality, top_edge
 from degratio.solver import solve_q
 
@@ -259,6 +261,100 @@ def test_closed_form_dispatcher():
     assert closed_form(build_named("prod:K4,P3")).rule == "prodkregtree"
     with pytest.raises(NoApplicableRule):
         closed_form(cycle(5))
+
+
+def _reference_rule(G):
+    """The closed-form rule for a connected G, recognized by isomorphism
+    tests as the dispatcher once did, and whether G (or, for ``prodcub``,
+    each factor) is the rule's special case: K4 or K33 for the cubic rules,
+    K5 for ``4reg``.  None when no rule applies."""
+    k4_or_k33 = lambda F: (is_isomorphic(F, complete(4))
+                           or is_isomorphic(F, complete_bipartite(3, 3)))
+    if is_isomorphic(G, complete(G.n)):
+        return "clique", False
+    if G.n >= 3 and is_isomorphic(G, k_triangle(G.n - 2)):
+        return "ktriangle", False
+    if is_tree(G):
+        return "tree", False
+    if G.factors is not None:
+        Gf, Hf = G.factors
+        if regularity(Gf) == 3 and regularity(Hf) == 3:
+            return "prodcub", k4_or_k33(Gf) and k4_or_k33(Hf)
+        if (regularity(Gf) is not None and is_tree(Hf)
+                or regularity(Hf) is not None and is_tree(Gf)):
+            return "prodkregtree", False
+    if regularity(G) == 3:
+        return "cubic", k4_or_k33(G)
+    if regularity(G) == 4:
+        return "4reg", is_isomorphic(G, complete(5))
+    return None
+
+
+# the value of each rule's special case
+_SPECIAL_VALUE = {"prodcub": Fraction(5, 7), "cubic": Fraction(1, 2),
+                  "4reg": Fraction(2, 5)}
+
+
+def _recognition_graphs():
+    yield from base_catalog()
+    yield from cubic_catalog()
+    for _, _, P in product_pairs():
+        yield P
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        G = random_connected_graph(rng, n, p=rng.choice((0.25, 0.5, 0.8, 1.0)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield graph_from_edges(n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def test_recognition_matches_isomorphism_reference():
+    seen = set()
+    for G in _recognition_graphs():
+        expected = _reference_rule(G)
+        try:
+            verdict = closed_form(G)
+        except NoApplicableRule:
+            assert expected is None, (G, G.edges())
+            continue
+        rule, special = expected
+        assert verdict.rule == rule, (G, G.edges())
+        if rule in _SPECIAL_VALUE:
+            assert (verdict.value == _SPECIAL_VALUE[rule]) == special, (G, G.edges())
+        seen.add((rule, special))
+    # every rule occurs, and every special case that closed_form reaches: it
+    # sends K4 and K5 to the clique rule
+    assert len(seen) == 9, seen
+
+
+def test_recognition_builds_no_graph(monkeypatch):
+    K4, K5, K33 = complete(4), complete(5), complete_bipartite(3, 3)
+    cases = [
+        (path(2000), Fraction(2, 3), "tree"),
+        (complete(9), Fraction(4, 9), "clique"),
+        (graph_from_edges(7, [(6 - u, 6 - v) for u, v in k_triangle(5).edges()]),
+         Fraction(3, 7), "ktriangle"),
+        (K33, Fraction(1, 2), "cubic"),
+        (build_named("prism"), Fraction(3, 4), "cubic"),
+        (build_named("K44"), Fraction(3, 5), "4reg"),
+        (cartesian_product(K4, K33), Fraction(5, 7), "prodcub"),
+        (build_named("prod:prism,K4"), Fraction(6, 7), "prodcub"),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed_form built a graph to recognize its input")
+
+    for name in ("complete", "k_triangle", "complete_bipartite", "is_isomorphic"):
+        monkeypatch.setattr(graph_module, name, refuse)
+        monkeypatch.setattr(formulas, name, refuse, raising=False)
+    for G, value, rule in cases:
+        verdict = closed_form(G)
+        assert (verdict.value, verdict.rule) == (value, rule), G
+    # closed_form sends K4 and K5 to the clique rule; the class rules
+    # recognize them too
+    assert cubic_q(K4).value == Fraction(1, 2)
+    assert four_regular_q(K5).value == Fraction(2, 5)
 
 
 def test_parameter_validation():

@@ -6,13 +6,17 @@ import random
 
 import pytest
 
+from degratio.catalog import product_pairs
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
+from degratio.formulas import closed_form
 from degratio.graph import (Graph, bipartition_classes, build_named,
                             cartesian_product, complement, complete,
                             complete_bipartite, connectivity,
                             contains_subgraph, cycle, emit_graph, fiber, graph_from_edges, is_connected,
                             is_isomorphic, is_pattern_free, is_tree,
                             k_triangle, parse_graph, path, regularity)
+from degratio.ratios import Bipartition, partition_quality
+from degratio.reductions import cover_plus_matching, verify_equivalence
 
 
 def test_named_builders_basic_counts():
@@ -100,6 +104,11 @@ def test_cartesian_product_structure():
     # anchoring a left-factor vertex yields a K33 copy and vice versa
     assert len(fiber(P, "left", 0)) == 6
     assert len(fiber(P, "right", 0)) == 4
+    # (g1, h1) ~ (g2, h2) iff g1 = g2 and h1 ~ h2, or h1 = h2 and g1 ~ g2
+    for G, H, P in product_pairs():
+        edges = [(g * H.n + u, g * H.n + v) for g in range(G.n) for u, v in H.edges()]
+        edges += [(u * H.n + h, v * H.n + h) for h in range(H.n) for u, v in G.edges()]
+        assert P == graph_from_edges(G.n * H.n, edges) and P.factors == (G, H)
 
 
 def test_product_rejects_disconnected_factor():
@@ -159,16 +168,31 @@ def test_pattern_detection_matches_brute_force():
 
 
 def test_pattern_search_leaves_no_garbage_cycles():
+    # the benchmark's peak RSS follows how often the collector runs, so the
+    # small-graph call paths must not leave reference cycles behind
     G, H = build_named("petersen"), build_named("cube")
+    K4, K33 = build_named("K4"), build_named("K33")
     pattern = cycle(8)
+    text = emit_graph(G)
+    calls = [
+        lambda: contains_subgraph(G, pattern),
+        lambda: not contains_subgraph(H, k_triangle(3)),
+        lambda: is_isomorphic(G, build_named("petersen")),
+        lambda: not is_isomorphic(H, build_named("wagner")),
+        lambda: parse_graph(text) == G,
+        lambda: cartesian_product(K4, K33).n == 24,
+        lambda: closed_form(path(30)).rule == "tree",
+        lambda: closed_form(G).rule == "cubic",
+        lambda: closed_form(cartesian_product(K4, K33)).rule == "prodcub",
+        lambda: partition_quality(G, Bipartition.from_side1(10, range(5))).quality,
+        lambda: verify_equivalence(cover_plus_matching(K33)),
+    ]
     gc.disable()
     try:
         gc.collect()
-        assert contains_subgraph(G, pattern)
-        assert not contains_subgraph(H, k_triangle(3))
-        assert is_isomorphic(G, build_named("petersen"))
-        assert not is_isomorphic(H, build_named("wagner"))
-        assert gc.collect() == 0
+        for i, call in enumerate(calls):
+            assert call(), i
+            assert gc.collect() == 0, i
     finally:
         gc.enable()
 
@@ -192,6 +216,52 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(GraphParseError):
         parse_graph("p 3 2\ne 1 2\n")  # declared m mismatch
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("p 3 0\np 3 0\n", 2, "duplicate p line"),
+    ("c first\ne 1 2\np 3 1\n", 2, "e line before p line"),
+    ("p 3\n", 1, "p line must be 'p <n> <m>'"),
+    ("p 3 1 7\n", 1, "p line must be 'p <n> <m>'"),
+    ("p 3 1\ne 1\n", 2, "e line must be 'e <u> <v>'"),
+    ("p 3 1\ne 1 2 3\n", 2, "e line must be 'e <u> <v>'"),
+    ("p three 1\n", 1, "p line has non-integer fields"),
+    ("p 3 1.0\n", 1, "p line has non-integer fields"),
+    ("p 3 1\ne 1 b\n", 2, "e line has non-integer endpoints"),
+    ("p 3 1\n\ne 1 4\n", 3, "endpoint out of range 1..3"),
+    ("p 3 1\ne 0 2\n", 2, "endpoint out of range 1..3"),
+    ("p 3 1\ne 2 2\n", 2, "self-loop"),
+    ("p 3 0\nx 1 2\n", 2, "unknown line type 'x'"),
+    ("p 3 1\ne 1 2\nE 2 3\n", 3, "unknown line type 'E'"),
+    ("", None, "missing p line"),
+    ("c only a comment\n\n", None, "missing p line"),
+    ("p 3 2\ne 1 2\n", None, "p line declares 2 edges but 1 given"),
+    ("p 3 2\ne 1 2\ne 2 1\n", None, "p line declares 2 edges but 1 given"),
+    ("p 3 0\ne 1 2\n", None, "p line declares 0 edges but 1 given"),
+])
+def test_parse_error_table(text, line, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+    expected = message if line is None else f"line {line}: {message}"
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "p 4 3\ne 1 2\ne 2 3\ne 3 4\n",
+    "c a comment\n\np 4 3\n  c indented comment\ne 1 2\n\ne 2 3\ncomment\ne 3 4",
+    "p 4 3\ne 2 1\ne 3 2\ne 4 3\n",
+    "p 4 3\ne 1 2\ne 2 1\ne 1 2\ne 3 2\ne 2 3\n\t e 3 4 \n",
+])
+def test_parse_accepts_comments_blanks_and_repeated_edges(text):
+    G = parse_graph(text, name="P4")
+    assert G == path(4) and G.name == "P4" and G.num_edges == 3
+
+
+def test_parse_refuses_graphs_below_two_vertices():
+    with pytest.raises(ParameterError):
+        parse_graph("p 1 0\n")
+
 
 
 def test_complement_involution():

@@ -1,11 +1,14 @@
 """Gadget constructions: structural postconditions and decision
 equivalences."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from degratio.errors import PreconditionError
+from degratio.catalog import random_connected_graph
+from degratio.errors import BudgetExceededError, PreconditionError
 from degratio.graph import (bipartition_classes, build_named, complete,
                             complete_bipartite, cycle, is_isomorphic,
                             regularity)
@@ -86,6 +89,61 @@ def test_is_matching_cut_set():
     assert not is_matching_cut_set(G, [(0, 1)])  # one edge cannot disconnect C6
     assert not is_matching_cut_set(G, [(0, 1), (1, 2)])  # shares a vertex
     assert not is_matching_cut_set(G, [])
+
+
+def _crossing_sets(G):
+    """Every edge set that is the crossing set of a nontrivial partition
+    whose crossing edges are pairwise disjoint, by enumerating partitions."""
+    found = set()
+    for mask in range(1, (1 << G.n) - 1):
+        crossing = frozenset((u, v) for u, v in G.edges()
+                             if (mask >> u & 1) != (mask >> v & 1))
+        ends = [x for e in crossing for x in e]
+        if crossing and len(ends) == len(set(ends)):
+            found.add(crossing)
+    return found
+
+
+def test_is_matching_cut_set_matches_partition_enumeration():
+    rng = random.Random(5)
+    for _ in range(60):
+        G = random_connected_graph(rng, rng.randint(2, 8), p=rng.uniform(0.2, 0.8))
+        edges = G.edges()
+        cuts = _crossing_sets(G)
+        # every matching-cut, and random edge sets of every size
+        samples = [sorted(c) for c in cuts]
+        samples += [rng.sample(edges, rng.randint(0, len(edges))) for _ in range(30)]
+        for cut in samples:
+            assert is_matching_cut_set(G, cut) == (frozenset(cut) in cuts), \
+                (G.edges(), cut)
+            flipped = [(v, u) for u, v in cut]  # endpoint order is immaterial
+            assert is_matching_cut_set(G, flipped) == (frozenset(cut) in cuts)
+
+
+def _mapped_cut_by_all_subsets(inst):
+    """The mapped_cut verdict over every nonempty edge set of the source."""
+    edges = inst.source.edges()
+    for r in range(1, len(edges) + 1):
+        for cut in combinations(edges, r):
+            image = [e for u, v in cut for e in ((2 * u, 2 * v + 1), (2 * v, 2 * u + 1))]
+            if (is_matching_cut_set(inst.source, cut)
+                    != is_matching_cut_set(inst.graph, image)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["K33", "C4", "C6", "C8", "cube"])
+def test_mapped_cut_over_matchings_matches_all_subsets(name):
+    inst = cover_plus_matching(build_named(name))
+    assert inst.claim.kind == "mapped_cut"
+    assert verify_equivalence(inst) == _mapped_cut_by_all_subsets(inst)
+
+
+def test_mapped_cut_budget_counts_matchings():
+    inst = cover_plus_matching(build_named("K33"))  # K33 has 33 nonempty matchings
+    assert verify_equivalence(inst, budget=33)
+    with pytest.raises(BudgetExceededError):
+        verify_equivalence(inst, budget=32)
 
 
 def test_verify_equivalence_instances():

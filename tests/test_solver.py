@@ -14,7 +14,7 @@ from degratio.catalog import product_pairs, random_connected_graph
 from degratio import solver
 from degratio.errors import BudgetExceededError, CertificateError, \
     ParameterError, PreconditionError
-from degratio.formulas import edge_upper_bound, tree_q
+from degratio.formulas import class_lower_bound, edge_upper_bound, tree_q
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             k_triangle, path)
@@ -233,6 +233,25 @@ def test_product_matching_cut_rule_both_directions():
         assert rule.has_cut == direct.has_cut, (G.name, H.name)
         if rule.has_cut:
             assert is_matching(P, crossing_edges(P, rule.partition))
+
+
+def test_product_factor_searches_share_one_budget():
+    # the two factor searches of the product rule draw on the caller's one
+    # budget: K_7 takes 9 assignments, so the second search gets none
+    P = build_named("prod:K_7,K_7")
+    with pytest.raises(BudgetExceededError) as exc:
+        find_matching_cut(P, budget=9)
+    assert exc.value.explored == 10
+    assert not find_matching_cut(P, budget=18).has_cut
+    with pytest.raises(BudgetExceededError):
+        product_matching_cut(complete(7), complete(7), budget=17)
+    # and so do the two factor solves of the prodmax class bound
+    Q = build_named("prod:K4,K33")
+    spent = solve_q(complete(4)).explored + solve_q(complete_bipartite(3, 3)).explored
+    with pytest.raises(BudgetExceededError) as exc:
+        class_lower_bound(Q, budget=spent - 1)
+    assert exc.value.explored == spent
+    assert "prodmax" in class_lower_bound(Q, budget=spent).rules
 
 
 def test_lift_partition_fiberwise():
