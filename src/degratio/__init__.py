@@ -5,7 +5,13 @@ fraction of each vertex's closed neighborhood kept on its own side — as an
 exact rational with a certifying witness partition, together with closed
 forms for known graph classes, matching-cut decisions, constructive lower
 bounds, and hardness-reduction gadget generators.
+
+The graph, ratio and solver names load with the package.  The names of
+``formulas``, ``construct``, ``reductions`` and ``catalog`` load on first
+access, so a call that needs none of them does not pay for their import.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
@@ -21,21 +27,41 @@ from .ratios import (Bipartition, MatchingCutCertificate, QualityReport,
 from .solver import (DEFAULT_BUDGET, DecideResult, SolveResult, decide,
                      find_matching_cut, lift_partition, product_matching_cut,
                      solve_q)
-from .formulas import (FormulaVerdict, LowerBound, characterize_third,
-                       characterize_two_fifths, class_lower_bound,
-                       clique_q, closed_form, cubic_q, edge_upper_bound,
-                       four_regular_q, ktriangle_q, product_cubic_q,
-                       product_kreg_tree_q, tree_q, two_fifths_family)
-from .construct import (DegreeDemands, GoodPair, LowerBoundWitness,
-                        connectivity_partition, degree_constrained_partition,
-                        extend_good_pair, find_good_pair, hou_demands,
-                        is_good_pair, lower_bound_witness, ma_demands,
-                        stiebitz_demands)
-from .reductions import (GadgetInstance, ReductionClaim,
-                         bipartite_double_cover, cover_plus_matching,
-                         is_matching_cut_set, product_with_fixed,
-                         twin_expand_then_K2, verify_equivalence)
-from .catalog import (base_catalog, cubic_catalog, product_pairs,
-                      random_connected_graph)
 
 __version__ = "1.0.0"
+
+# submodule -> the public names it provides on first access
+_LAZY = {
+    "formulas": ("FormulaVerdict", "LowerBound", "characterize_third",
+                 "characterize_two_fifths", "class_lower_bound", "clique_q",
+                 "closed_form", "cubic_q", "edge_upper_bound", "four_regular_q",
+                 "ktriangle_q", "product_cubic_q", "product_kreg_tree_q", "tree_q",
+                 "two_fifths_family"),
+    "construct": ("DegreeDemands", "GoodPair", "LowerBoundWitness",
+                  "connectivity_partition", "degree_constrained_partition",
+                  "extend_good_pair", "find_good_pair", "is_good_pair",
+                  "lower_bound_witness", "ma_demands", "hou_demands",
+                  "stiebitz_demands"),
+    "reductions": ("GadgetInstance", "ReductionClaim", "bipartite_double_cover",
+                   "cover_plus_matching", "is_matching_cut_set",
+                   "product_with_fixed", "twin_expand_then_K2",
+                   "verify_equivalence"),
+    "catalog": ("base_catalog", "cubic_catalog", "product_pairs",
+                "random_connected_graph"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _HOME.keys())
+
+
+def __getattr__(name):
+    if name in _LAZY:  # importing a submodule binds it in this namespace
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_HOME})

@@ -13,7 +13,6 @@ whose preconditions hold but whose exhaustive search comes up empty raises
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,8 +23,6 @@ from .graph import (Graph, components, connectivity, cut_splits, cycle,
                     graph_from_edges, is_connected, is_isomorphic, regularity)
 from .ratios import Bipartition, certify, min_ratio
 from .solver import DEFAULT_BUDGET, _search, solve_q
-
-log = logging.getLogger(__name__)
 
 
 # -- degree-constrained partitions ------------------------------------------
@@ -445,8 +442,10 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
         if is_good_pair(G, gp):
             return gp
 
-    log.warning("good-pair case analysis exhausted on %r; falling back to the "
-                "exact solver (suspected case gap)", G)
+    import logging  # only this fallback logs, so importing the module skips it
+    logging.getLogger(__name__).warning(
+        "good-pair case analysis exhausted on %r; falling back to the "
+        "exact solver (suspected case gap)", G)
     # a partition is a good pair exactly when its quality meets the threshold
     P = solve_q(G, budget=budget).optimal_partition
     certify(G, P, threshold)

@@ -184,12 +184,14 @@ def is_matching(G: Graph, edges) -> bool:
 @dataclass(frozen=True)
 class MatchingCutCertificate:
     """Either a partition whose crossing edges form a matching, or a
-    proof-of-absence marker backed by exhaustive (or factor-rule) search."""
+    proof-of-absence marker backed by exhaustive (or factor-rule) search.
+    ``explored`` is the number of assignments that search made."""
 
     has_cut: bool
     partition: Bipartition | None
     crossing: tuple[tuple[int, int], ...]
     exhaustive: bool = True
+    explored: int = 0
 
     def __post_init__(self):
         if self.has_cut and self.partition is None:

@@ -220,17 +220,23 @@ def verify_equivalence(inst: GadgetInstance, budget: int = DEFAULT_BUDGET) -> bo
     2v + 1 of v, so the image is no matching-cut of the gadget either.
     ``budget`` bounds the number of matchings checked there.
 
-    Budget exhaustion propagates as :class:`BudgetExceededError`, which is
-    inconclusive rather than a refutation.
+    The two searches of ``cut_iff_cut`` and ``cut_iff_q``, source first,
+    draw on the one budget in turn.  Budget exhaustion propagates as
+    :class:`BudgetExceededError`, which is inconclusive rather than a
+    refutation; its ``explored`` counts both searches.
     """
-    if inst.claim.kind == "cut_iff_cut":
-        left = find_matching_cut(inst.source, budget=budget).has_cut
-        right = find_matching_cut(inst.graph, budget=budget).has_cut
-        return left == right
-    if inst.claim.kind == "cut_iff_q":
-        left = find_matching_cut(inst.source, budget=budget).has_cut
-        right = bool(decide(inst.graph, inst.claim.threshold, budget=budget))
-        return left == right
+    if inst.claim.kind in ("cut_iff_cut", "cut_iff_q"):
+        left = find_matching_cut(inst.source, budget=budget)
+        try:
+            if inst.claim.kind == "cut_iff_cut":
+                right = find_matching_cut(inst.graph, budget=budget - left.explored)
+            else:
+                right = decide(inst.graph, inst.claim.threshold,
+                               budget=budget - left.explored)
+        except BudgetExceededError as exc:
+            exc.explored += left.explored
+            raise
+        return left.has_cut == bool(right)
     if inst.claim.kind == "mapped_cut":
         for checked, cut in enumerate(_matchings(inst.source), start=1):
             if checked > budget:

@@ -25,6 +25,15 @@ one with exactly cap[u] neighbors across, cannot take another crossing
 edge, so its free neighbors must join its side.  A branch dies when a
 vertex is forced onto both sides or pushed over its cap.
 
+An assignment costs little.  Saturation is lazy: a saturated vertex's free
+neighbors are listed only when the propagation queue reaches it, so a
+conflict found first saves the list.  Undo has two paths.  On a dense
+graph, ``n * n <= 8 * m``, each decision saves the two neighbor-count
+arrays and backtracking restores them; the copies hold at most 2n^2 <= 16m
+counts, a constant multiple of the adjacency.  On a sparser graph, where
+such copies would be quadratic in the size of a long path or tree, undo
+decrements the counts of each undone vertex's neighbors instead.
+
 ``solve_q`` lowers the caps as its incumbent improves.  Caps only go down,
 so a forced assignment made under an older cap is still forced under the
 newer one: "more than the old cap" implies "more than the new cap", and a
@@ -175,9 +184,23 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     - twins obey a chain: side 1 forces the previous twin onto side 1, and
       side 2 forces the next twin onto side 2.
 
-    A vertex forced onto both sides kills the branch.  Every increment is
-    made before a conflict is reported, so undoing an assignment, which pops
-    the trail and decrements every neighbor, restores the counts exactly.
+    A vertex forced onto both sides kills the branch.  Each decision fills
+    one queue of packed entries ``v << 2 | s`` and propagates it in place.
+    Saturation is lazy: a saturated vertex u enters the queue once, as the
+    marker ``u << 2``, and its free neighbors are listed and forced only when
+    the queue reaches the marker, so a conflict found first saves the list.
+    Counts only rise within one propagation, so u is still saturated then.
+
+    Undo takes one of two paths.  On a dense graph, ``n * n <= 8 * m``
+    (average degree at least n/4), each decision saves both count arrays,
+    and backtracking restores them by slice assignment and clears ``side``
+    for the vertices on the trail.  The saved arrays hold at most 2n
+    counts per level on at most n levels, so 2n^2 <= 16m slots: a constant
+    multiple of the adjacency.  On any other graph, where that copy could
+    dwarf the graph (a long path would save quadratic counts), undo pops the
+    trail and decrements every neighbor of each undone vertex.  Every
+    increment is made before a conflict is reported, so this restores the
+    counts exactly.
 
     At each complete assignment with both sides nonempty, ``on_leaf(sides)``
     is called; the search stops there when it returns true.  ``on_leaf`` may
@@ -197,34 +220,43 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     for v, w in enumerate(prev):
         if w >= 0:
             succ[w] = v
+    chain = (None, prev, succ)  # side 1 pulls the previous twin, side 2 the next
     adjl = [tuple(a) for a in G.adj]
+    copy = n * n <= 4 * sum(map(len, adjl))  # n * n <= 8 * m
     side = [0] * n
-    same = (None, [0] * n, [0] * n)
+    same1, same2 = [0] * n, [0] * n
+    same = (None, same1, same2)
     trail: list[int] = []
+    levels = []  # decisions with side 2 left to try: (trail length, position[, counts])
     explored = 0
-
-    def assign(v: int, s: int) -> bool:
-        """Put v on side s and propagate; False on a conflict."""
-        nonlocal explored
-        queue = [v << 2 | s]  # v on side s, packed in one int
+    i = 0
+    queue = [order[0] << 2 | 1]
+    while True:
+        ok = True
         for x in queue:
             v = x >> 2
             s = x & 3
+            if not s:  # v is saturated: its free neighbors join its side
+                s = side[v]
+                queue += [w << 2 | s for w in adjl[v] if not side[w]]
+                continue
             if side[v]:
                 if side[v] != s:
-                    return False
+                    ok = False
+                    break
                 continue
             explored += 1
             if explored > budget:
                 raise BudgetExceededError(explored=explored)
-            ss = same[s]
             o = 3 - s
             so = same[o]
-            if so[v] > cap[v]:
-                return False
+            cv = cap[v]
+            if so[v] > cv:
+                ok = False
+                break
             side[v] = s
             trail.append(v)
-            ok = True
+            ss = same[s]
             for u in adjl[v]:
                 c = ss[u] + 1
                 ss[u] = c
@@ -233,29 +265,24 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                     if su == o:
                         if c > cap[u]:
                             ok = False  # finish the increments first
-                        elif ok:
-                            queue += [w << 2 | o for w in adjl[u] if not side[w]]
+                        else:
+                            queue.append(u << 2)
                     elif not su and c > cap[u]:
                         queue.append(u << 2 | s)
             if not ok:
-                return False
-            if so[v] == cap[v]:
-                queue += [w << 2 | s for w in adjl[v] if not side[w]]
-            w = prev[v] if s == 1 else succ[v]
+                break
+            if so[v] == cv:
+                queue.append(v << 2)
+            w = chain[s][v]
             if w >= 0:
                 queue.append(w << 2 | s)
-        return True
-
-    levels = []  # decisions with side 2 left to try: (trail length, position)
-    i = 0
-    ok = assign(order[0], 1)
-    while True:
         if ok:
             while i < n and side[order[i]]:
                 i += 1
             if i < n:
-                levels.append((len(trail), i))
-                ok = assign(order[i], 1)
+                levels.append((len(trail), i, same1[:], same2[:]) if copy
+                              else (len(trail), i))
+                queue = [order[i] << 2 | 1]
                 continue
             if 2 in side:
                 sides = tuple(side)
@@ -263,14 +290,20 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                     return explored, sides
         if not levels:
             return explored, None
-        depth, i = levels.pop()
-        while len(trail) > depth:  # undo
-            v = trail.pop()
-            ss = same[side[v]]
-            side[v] = 0
-            for u in adjl[v]:
-                ss[u] -= 1
-        ok = assign(order[i], 2)
+        if copy:
+            depth, i, same1[:], same2[:] = levels.pop()
+            for v in trail[depth:]:
+                side[v] = 0
+            del trail[depth:]
+        else:
+            depth, i = levels.pop()
+            while len(trail) > depth:
+                v = trail.pop()
+                ss = same[side[v]]
+                side[v] = 0
+                for u in adjl[v]:
+                    ss[u] -= 1
+        queue = [order[i] << 2 | 2]
 
 
 def _component_split(G: Graph) -> Bipartition | None:
@@ -342,13 +375,6 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
 # -- matching cuts ----------------------------------------------------------
 
 
-def _matching_cut_certificate(G: Graph, P: Bipartition) -> MatchingCutCertificate:
-    crossing = tuple(crossing_edges(G, P))
-    if not crossing or not is_matching(G, crossing):
-        raise CertificateError("matching-cut witness does not cut a matching")
-    return MatchingCutCertificate(True, P, crossing, exhaustive=True)
-
-
 def _cut_partition(G: Graph, budget: int,
                    product_rule: bool = True) -> tuple[int, Bipartition | None]:
     """A matching-cut partition of a connected graph, or None when it has
@@ -382,14 +408,18 @@ def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
     Product graphs with provenance are decided through their factors (the
     factor rule both finds a lifted cut and certifies absence), whose
     searches share ``budget``; pass ``use_product_rule=False`` to force the
-    raw exhaustive search.
+    raw exhaustive search.  ``explored`` counts the assignments of every
+    search made, factor searches included.
     """
     if not is_connected(G):
         raise PreconditionError("matching-cut search needs a connected graph")
-    _, part = _cut_partition(G, budget, use_product_rule)
+    explored, part = _cut_partition(G, budget, use_product_rule)
     if part is None:
-        return MatchingCutCertificate(False, None, (), exhaustive=True)
-    return _matching_cut_certificate(G, part)
+        return MatchingCutCertificate(False, None, (), True, explored)
+    crossing = tuple(crossing_edges(G, part))
+    if not crossing or not is_matching(G, crossing):
+        raise CertificateError("matching-cut witness does not cut a matching")
+    return MatchingCutCertificate(True, part, crossing, True, explored)
 
 
 def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:

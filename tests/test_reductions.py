@@ -146,6 +146,23 @@ def test_mapped_cut_budget_counts_matchings():
         verify_equivalence(inst, budget=32)
 
 
+def test_verify_equivalence_searches_share_one_budget():
+    # the source search of K5 takes 7 assignments and the gadget search 19,
+    # so a budget of 19 leaves the gadget search 12
+    inst = bipartite_double_cover(build_named("K5"))
+    assert find_matching_cut(inst.source).explored == 7
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_equivalence(inst, budget=19)
+    assert exc.value.explored == 20
+    assert verify_equivalence(inst, budget=26)
+    # cut_iff_q: 8 assignments on the source C6, 32 in decide on the gadget
+    inst = twin_expand_then_K2(cycle(6))
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_equivalence(inst, budget=39)
+    assert exc.value.explored == 40
+    assert verify_equivalence(inst, budget=40)
+
+
 def test_verify_equivalence_instances():
     checks = [
         bipartite_double_cover(complete(5), strict=True),

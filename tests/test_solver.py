@@ -2,6 +2,7 @@
 matching-cut search."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -105,19 +106,75 @@ def test_search_with_demand_caps_matches_oracle():
                        for v in range(G.n))
 
 
+def _tree_with_chords(rng: random.Random, n: int):
+    """A random tree on n vertices plus one or two chords, relabelled at
+    random: fewer than n * n / 8 edges for every n from 9 to 12."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    size = n - 1 + rng.randint(1, 2)
+    while len(edges) < size:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    label = rng.sample(range(n), n)
+    return graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _next_candidate(G, q: Fraction) -> Fraction:
+    """The smallest ratio k/(d(v) + 1) above q; no quality lies in between."""
+    return min(Fraction(k, d) for d in {G.degree(v) + 1 for v in range(G.n)}
+               for k in range(1, d + 1) if Fraction(k, d) > q)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["copy-undo", "trail-undo"])
+def test_both_undo_paths_match_oracles(dense):
+    # the search saves and restores the count arrays when n * n <= 8 * m,
+    # as on these dense draws, and undoes by the trail on the sparse ones
+    rng = random.Random(11 if dense else 12)
+    for _ in range(6):
+        n = rng.randint(9, 12)
+        G = random_connected_graph(rng, n, rng.uniform(0.5, 0.9)) if dense \
+            else _tree_with_chords(rng, n)
+        assert (n * n <= 8 * G.num_edges) == dense
+        q, _ = naive_q(G)
+        res = solve_q(G)
+        assert res.q == q
+        assert partition_quality(G, res.optimal_partition).quality == q
+        assert decide(G, q) and not decide(G, _next_candidate(G, q))
+        cert = find_matching_cut(G, use_product_rule=False)
+        assert cert.has_cut == naive_matching_cut(G)
+        for _ in range(3):
+            f = [rng.randint(0, (G.degree(v) + 3) // 2) for v in range(n)]
+            cap = [G.degree(v) - f[v] for v in range(n)]
+            _, sides = _search(G, cap, 1 << 30, lambda sides: True)
+            assert (sides is not None) == naive_demand_partition(G, f), (G.adj, f)
+
+
+def test_search_memory_stays_linear_on_sparse_graphs():
+    # the trail undo keeps the allocations of a 3,000-vertex cycle near
+    # 1.5 MB; saving both count arrays at each of its 3,000 decisions would
+    # hold about 140 MB
+    tracemalloc.start()
+    try:
+        solve_q(cycle(3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 @pytest.mark.parametrize("G, q", [
     (complete(20), Fraction(1, 2)),
     (complete_bipartite(8, 9), Fraction(1, 2)),
     (k_triangle(16), Fraction(1, 2)),
 ])
 def test_twin_classes_keep_the_search_small(G, q):
-    # the search from incumbent 0/1 visits 201, 112 and 158 nodes here; the
+    # the search from incumbent 0/1 visits 165, 99 and 130 nodes here; the
     # BFS-order search without twin symmetry breaking visited 184,775, 2,817
     # and 25,773, and the search with the twin chain propagated only from
-    # side 1 visits 309, 335 and 246
-    res = solve_q(G)
+    # side 1 visited 309, 335 and 246.  The bound is also the budget, so a
+    # broken rule fails fast instead of searching for hours.
+    bound = {"K20": 250, "K89": 200, "T16": 200}[G.name]
+    res = solve_q(G, budget=bound)
     assert res.q == q and res.method == "pruned_search"
-    assert res.explored < {"K20": 250, "K89": 200, "T16": 200}[G.name]
+    assert res.explored < bound
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,9 +197,10 @@ def test_mcs_order_matches_reference(n, data):
     (random_connected_graph(random.Random(5), 36, 0.3), Fraction(5, 9)),
 ])
 def test_propagation_keeps_the_search_small(G, q):
-    # the search in BFS order without propagation visits 183,553 and
-    # 443,217 nodes here
-    res = solve_q(G)
+    # the search visits 58,964 and 19,200 nodes here; in BFS order without
+    # propagation it visited 183,553 and 443,217.  The bound is also the
+    # budget, so a broken propagation fails fast instead of running for hours.
+    res = solve_q(G, budget=100_000)
     assert res.q == q and res.method == "pruned_search"
     assert res.explored < 100_000
 
@@ -242,7 +300,8 @@ def test_product_factor_searches_share_one_budget():
     with pytest.raises(BudgetExceededError) as exc:
         find_matching_cut(P, budget=9)
     assert exc.value.explored == 10
-    assert not find_matching_cut(P, budget=18).has_cut
+    cert = find_matching_cut(P, budget=18)
+    assert not cert.has_cut and cert.explored == 18
     with pytest.raises(BudgetExceededError):
         product_matching_cut(complete(7), complete(7), budget=17)
     # and so do the two factor solves of the prodmax class bound

@@ -1,6 +1,9 @@
 """Guards on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import degratio
@@ -29,3 +32,25 @@ def test_library_raises_no_assertion_error():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def test_import_defers_the_optional_modules():
+    # formulas, construct, reductions and catalog load on first access, and
+    # construct imports logging only where it logs; every name in __all__,
+    # loaded at import or deferred, resolves
+    code = (
+        "import sys, degratio\n"
+        "late = {'degratio.formulas', 'degratio.construct', 'degratio.reductions',"
+        " 'degratio.catalog', 'logging'}\n"
+        "print(sorted(late & set(sys.modules)))\n"
+        "print([n for n in degratio.__all__ if not hasattr(degratio, n)])\n"
+    )
+    root = Path(degratio.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(root))).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    for module, name in [("formulas", "closed_form"), ("construct", "lower_bound_witness"),
+                         ("reductions", "verify_equivalence"),
+                         ("catalog", "random_connected_graph")]:
+        assert name in degratio.__all__
+        assert getattr(degratio, name) is getattr(getattr(degratio, module), name)
