@@ -17,7 +17,7 @@ from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
                      PreconditionError)
 from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
-                    complement, complete, complete_bipartite, connectivity,
+                    complement, complete, complete_bipartite, cut_vertices,
                     cycle, emit_graph, fiber, graph_from_edges, is_connected,
                     is_isomorphic, is_pattern_free, is_tree, k_triangle,
                     parse_graph, path, regularity)
@@ -38,7 +38,7 @@ _LAZY = {
                  "ktriangle_q", "product_cubic_q", "product_kreg_tree_q", "tree_q",
                  "two_fifths_family"),
     "construct": ("DegreeDemands", "GoodPair", "LowerBoundWitness",
-                  "connectivity_partition", "degree_constrained_partition",
+                  "degree_constrained_partition",
                   "extend_good_pair", "find_good_pair", "is_good_pair",
                   "lower_bound_witness", "ma_demands", "hou_demands",
                   "stiebitz_demands"),

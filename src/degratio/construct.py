@@ -1,6 +1,5 @@
-"""Witness-producing procedures: degree-constrained bipartitions, the
-good-pair construction and its extension to a full partition, and
-connectivity-based partitions.
+"""Witness-producing procedures: degree-constrained bipartitions, and the
+good-pair construction and its extension to a full partition.
 
 The partition-existence theorems behind the degree-constrained demands are
 non-constructive.  A potential-guided local search runs first, from an
@@ -19,9 +18,9 @@ from itertools import combinations
 
 from .errors import CertificateError, ParameterError, PreconditionError
 from .formulas import _theorem_classes, two_fifths_family
-from .graph import (Graph, components, connectivity, cut_splits, cycle,
-                    graph_from_edges, is_connected, is_isomorphic, regularity)
-from .ratios import Bipartition, certify, min_ratio
+from .graph import (Graph, components, cut_vertices, cycle, graph_from_edges,
+                    is_connected, is_isomorphic, regularity)
+from .ratios import Bipartition, certify
 from .solver import DEFAULT_BUDGET, _search, solve_q
 
 
@@ -419,8 +418,7 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
             raise PreconditionError("good pair search needs a connected graph")
         if G.max_degree > 6:
             raise PreconditionError("3/7 good pairs proven only for max degree <= 6")
-        conn = connectivity(G)
-        if conn.cut_vertices:
+        if cut_vertices(G):
             raise PreconditionError("good pair search assumes a biconnected graph")
         excluded = two_fifths_family() + (cycle(3),)
         if any(is_isomorphic(G, F) for F in excluded):
@@ -482,18 +480,3 @@ def extend_good_pair(G: Graph, gp: GoodPair) -> Bipartition:
             B.add(v)
     certify(G, P, thr)
     return P
-
-
-# -- connectivity-based partitions ------------------------------------------
-
-
-def connectivity_partition(G: Graph) -> tuple[Fraction, Bipartition] | None:
-    """Best cut-structure partition: bridge splits and cut-vertex splits.
-    None when the graph is biconnected and bridgeless."""
-    if not is_connected(G):
-        raise PreconditionError("connectivity partition needs a connected graph")
-    candidates = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
-    if not candidates:
-        return None
-    scored = [(Fraction(*min_ratio(G, P.sides)), P) for P in candidates]
-    return max(scored, key=lambda qp: qp[0])  # the first best on ties

@@ -1,5 +1,5 @@
 """Simple undirected graphs: representation, named constructions, cartesian
-products with fiber provenance, induced-pattern detection and connectivity.
+products with fiber provenance, induced-pattern detection and cut vertices.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
 construction.
@@ -119,20 +119,11 @@ def is_connected(G: Graph) -> bool:
     return len(components(G)) == 1
 
 
-@dataclass(frozen=True)
-class Connectivity:
-    components: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    bridges: frozenset[tuple[int, int]]
-
-
-def connectivity(G: Graph) -> Connectivity:
-    """Components, cut vertices and bridges via an iterative low-link pass."""
-    comps = components(G)
+def cut_vertices(G: Graph) -> frozenset[int]:
+    """The cut vertices of G, via an iterative low-link pass."""
     disc = [-1] * G.n
     low = [0] * G.n
-    cut_vertices: set[int] = set()
-    bridges: set[tuple[int, int]] = set()
+    cuts: set[int] = set()
     timer = 0
     for root in range(G.n):
         if disc[root] != -1:
@@ -162,21 +153,16 @@ def connectivity(G: Graph) -> Connectivity:
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        bridges.add((min(p, v), max(p, v)))
                     if p != root and low[v] >= disc[p]:
-                        cut_vertices.add(p)
+                        cuts.add(p)
         if root_children >= 2:
-            cut_vertices.add(root)
-    return Connectivity(tuple(comps), frozenset(cut_vertices), frozenset(bridges))
+            cuts.add(root)
+    return frozenset(cuts)
 
 
 def split_side(G: Graph, u: int, v: int) -> frozenset[int]:
-    """The vertices reachable from u without passing through v.
-
-    For a bridge uv this is u's side once the edge is removed; for a cut
-    vertex v and a neighbor u it is the component of G - v that holds u.
-    """
+    """The vertices reachable from u without passing through v: for a
+    bridge uv, such as a tree edge, u's side once the edge is removed."""
     seen = {u}
     stack = [u]
     while stack:
@@ -186,29 +172,6 @@ def split_side(G: Graph, u: int, v: int) -> frozenset[int]:
                 seen.add(x)
                 stack.append(x)
     return frozenset(seen)
-
-
-def cut_splits(G: Graph) -> Iterator[frozenset[int]]:
-    """One side per bridge and per cut vertex of a connected graph, yielded
-    lazily: each flood fill runs only when its split is reached.
-
-    First u's side of each bridge uv, by decreasing min(d(u), d(v)), ties by
-    (u, v).  A bridge split cuts one edge, so its quality is exactly
-    m/(m + 1) for m = min(d(u), d(v)): the strongest bridge split comes
-    first, and on a tree it is optimal.  Then, for each cut vertex c in
-    label order, the component of G - c holding the fewest neighbors of c
-    (ties to the smallest sorted set)."""
-    conn = connectivity(G)
-    adj = G.adj
-    deg = [len(a) for a in adj]
-    for u, v in sorted(conn.bridges, key=lambda e: (-min(deg[e[0]], deg[e[1]]), e)):
-        yield split_side(G, u, v)
-    for c in sorted(conn.cut_vertices):
-        comps: list[frozenset[int]] = []
-        for x in sorted(adj[c]):
-            if not any(x in comp for comp in comps):
-                comps.append(split_side(G, x, c))
-        yield min(comps, key=lambda s: (len(s & adj[c]), sorted(s)))
 
 
 def is_tree(G: Graph) -> bool:

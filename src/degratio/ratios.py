@@ -190,7 +190,6 @@ class MatchingCutCertificate:
     has_cut: bool
     partition: Bipartition | None
     crossing: tuple[tuple[int, int], ...]
-    exhaustive: bool = True
     explored: int = 0
 
     def __post_init__(self):

@@ -415,11 +415,11 @@ def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
         raise PreconditionError("matching-cut search needs a connected graph")
     explored, part = _cut_partition(G, budget, use_product_rule)
     if part is None:
-        return MatchingCutCertificate(False, None, (), True, explored)
+        return MatchingCutCertificate(False, None, (), explored)
     crossing = tuple(crossing_edges(G, part))
     if not crossing or not is_matching(G, crossing):
         raise CertificateError("matching-cut witness does not cut a matching")
-    return MatchingCutCertificate(True, part, crossing, True, explored)
+    return MatchingCutCertificate(True, part, crossing, explored)
 
 
 def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipartition:

@@ -19,7 +19,7 @@ from .construct import extend_good_pair, find_good_pair, lower_bound_witness
 from .errors import PreconditionError
 from .formulas import (class_lower_bound, cubic_q, edge_upper_bound,
                        four_regular_q, tree_q, two_fifths_family)
-from .graph import (build_named, complete, connectivity, cycle,
+from .graph import (build_named, complete, cut_vertices, cycle,
                     emit_graph, is_connected, is_isomorphic, is_tree,
                     regularity)
 from .ratios import partition_quality
@@ -28,9 +28,6 @@ from .reductions import (bipartite_double_cover, cover_plus_matching,
                          verify_equivalence)
 from .solver import (DEFAULT_BUDGET, decide, find_matching_cut,
                      product_matching_cut, solve_q)
-
-SUITES = ("bounds", "closed-forms", "matching-cut", "products", "good-pair",
-          "reductions")
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def suite_good_pair(max_n: int = 9, seed: int = 1,
     for G in _graphs(max_n, seed):
         if G.max_degree > 6 or not is_connected(G):
             continue
-        if connectivity(G).cut_vertices or any(is_isomorphic(G, F) for F in family):
+        if cut_vertices(G) or any(is_isomorphic(G, F) for F in family):
             continue
         try:
             gp = find_good_pair(G, budget=budget)
@@ -192,7 +189,7 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 1,
         "reductions": suite_reductions,
     }
     if name not in funcs:
-        raise PreconditionError(f"unknown suite {name!r}; pick one of {SUITES}")
+        raise PreconditionError(f"unknown suite {name!r}; pick one of {tuple(funcs)}")
     kwargs = {"seed": seed, "budget": budget}
     if max_n is not None:
         kwargs["max_n"] = max_n

@@ -18,7 +18,7 @@ from degratio.formulas import (class_lower_bound, clique_q, cubic_q,
                                edge_upper_bound, four_regular_q, ktriangle_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
 from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, connectivity, cycle,
+                            complete_bipartite, cut_vertices, cycle,
                             graph_from_edges, is_connected, is_isomorphic,
                             is_tree, k_triangle, path, regularity)
 from degratio.ratios import partition_quality
@@ -186,7 +186,7 @@ def test_acceptance_7_constructive_guarantees():
     extended = 0
     family = two_fifths_family() + (cycle(3),)
     for G in base_catalog():
-        if G.max_degree > 6 or connectivity(G).cut_vertices:
+        if G.max_degree > 6 or cut_vertices(G):
             continue
         if any(is_isomorphic(G, H) for H in family):
             continue

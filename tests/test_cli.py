@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ import pytest
 import degratio
 from conftest import witness_set
 from degratio import solver
-from degratio.cli import main
+from degratio.cli import SUITES, main
+from degratio.errors import PreconditionError
 from degratio.graph import emit_graph, parse_graph, cycle
+from degratio.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -63,6 +66,13 @@ def test_closed_form_tree(capsys):
 def test_matching_cut_output(capsys):
     code, out, _ = run(capsys, "matching-cut", "--named", "C6")
     assert code == 0 and "yes" in out and "crossing" in out
+
+
+def test_matching_cut_json_is_exact(capsys):
+    code, out, _ = run(capsys, "matching-cut", "--named", "K4", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["exact"] is True
+    assert doc["result"] == {"has_cut": False}
 
 
 def test_bound_output(capsys):
@@ -163,6 +173,35 @@ def test_generate_precondition_exit(capsys):
 def test_verify_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "reductions")
     assert code == 0 and "properties passed" in out
+
+
+def test_verify_lists_every_suite(capsys):
+    with pytest.raises(PreconditionError, match=re.escape(f"pick one of {SUITES}")):
+        run_suite("no-such-suite")
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert done.value.code == 0 and all(name in out for name in SUITES)
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "no-such-suite"])
+    assert done.value.code == 2 and "invalid choice" in capsys.readouterr().err
+
+
+def test_solve_loads_only_what_it_needs():
+    # the other commands' modules load inside the commands that use them
+    code = (
+        "import sys\n"
+        "from degratio.cli import main\n"
+        "main(['solve', '--named', 'petersen'])\n"
+        "late = {'degratio.' + name for name in ('catalog', 'construct', 'formulas',"
+        " 'reductions', 'verify')}\n"
+        "print(sorted(late & set(sys.modules)))\n"
+    )
+    src = str(Path(degratio.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    lines = out.splitlines()
+    assert lines[0] == "q = 3/4" and lines[-1] == "[]"
 
 
 def test_round_trip_canonical_form(tmp_path):

@@ -1,4 +1,4 @@
-"""Degree-constrained partitions, good pairs, and connectivity splits."""
+"""Degree-constrained partitions and good pairs."""
 
 import logging
 import random
@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from conftest import witness_set
 from degratio.catalog import base_catalog, random_connected_graph
 from degratio.construct import (DegreeDemands, GoodPair,
-                                connectivity_partition,
                                 degree_constrained_partition,
                                 demands_satisfied, extend_good_pair,
                                 find_good_pair, hou_demands, is_good_pair,
                                 lower_bound_witness, ma_demands,
                                 stiebitz_demands)
-from degratio import construct, graph
+from degratio import construct
 from degratio.errors import (BudgetExceededError, CertificateError,
                              ParameterError, PreconditionError)
-from degratio.formulas import tree_q, two_fifths_family
-from degratio.graph import (build_named, complete, connectivity, cut_splits,
-                            cycle, graph_from_edges, is_connected,
-                            is_isomorphic, is_tree, path)
+from degratio.formulas import two_fifths_family
+from degratio.graph import (build_named, complete, cut_vertices, cycle,
+                            graph_from_edges, is_connected, is_isomorphic)
 from degratio.ratios import Bipartition, partition_quality
 
 
@@ -125,7 +123,7 @@ def test_good_pair_invariant_checker():
 def _good_pair_scope(G):
     if not is_connected(G) or G.max_degree > 6:
         return False
-    if connectivity(G).cut_vertices:
+    if cut_vertices(G):
         return False
     excluded = two_fifths_family() + (cycle(3),)
     if any(is_isomorphic(G, F) for F in excluded):
@@ -196,42 +194,6 @@ def test_extend_rejects_non_good_pair():
                                      Fraction(3, 7)))
 
 
-def test_connectivity_partition():
-    G = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
-                             (5, 3)])
-    result = connectivity_partition(G)
-    assert result is not None
-    quality, P = result
-    assert quality >= Fraction(2, 3)  # a bridge split keeps 2/3 on each end
-    assert partition_quality(G, P).quality == quality
-    assert connectivity_partition(complete(5)) is None
-
-
-def test_cut_splits_yield_the_strongest_bridge_first(monkeypatch):
-    # a bridge split's quality is m/(m + 1), m = min(d(u), d(v)), so the
-    # bridge splits come by decreasing quality, and on a tree the first one
-    # meets the edge upper bound
-    rng = random.Random(5)
-    for _ in range(80):
-        n = rng.randint(4, 14)
-        if rng.random() < 0.5:
-            G = random_connected_graph(rng, n, p=0.25)
-        else:  # a random tree
-            G = graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
-        splits = list(cut_splits(G))
-        bridges = len(connectivity(G).bridges)
-        scores = [partition_quality(G, Bipartition.from_side1(G.n, s)).quality
-                  for s in splits[:bridges]]
-        assert scores == sorted(scores, reverse=True)
-        if is_tree(G):
-            assert scores[0] == tree_q(G).value
-    fills = []
-    fill = graph.split_side
-    monkeypatch.setattr(graph, "split_side", lambda *args: fills.append(args) or fill(*args))
-    assert next(cut_splits(path(50))) == frozenset({0, 1})  # the first of 49 bridges
-    assert len(fills) == 1
-
-
 @pytest.mark.parametrize("name, rule", [("petersen", "lowboundC4free"), ("K4", "lowboundC3")])
 def test_lower_bound_witness_checks_the_classes_once(name, rule, monkeypatch):
     # the ma and hou regimes both need the theorem classes, once to choose
@@ -241,19 +203,6 @@ def test_lower_bound_witness_checks_the_classes_once(name, rule, monkeypatch):
     monkeypatch.setattr(construct, "_theorem_classes", lambda G: calls.append(G) or classes(G))
     assert lower_bound_witness(build_named(name)).rule == rule
     assert len(calls) == 1
-
-
-def test_connectivity_partition_takes_the_first_best_split():
-    rng = random.Random(11)
-    for _ in range(60):
-        G = random_connected_graph(rng, rng.randint(4, 12), p=0.25)
-        splits = [Bipartition.from_side1(G.n, s) for s in cut_splits(G)]
-        if not splits:
-            assert connectivity_partition(G) is None
-            continue
-        scores = [partition_quality(G, P).quality for P in splits]
-        best = max(scores)
-        assert connectivity_partition(G) == (best, splits[scores.index(best)])
 
 
 def test_lower_bound_witness_certifies_a_strict_bound(monkeypatch):

@@ -11,7 +11,7 @@ from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.formulas import closed_form
 from degratio.graph import (Graph, bipartition_classes, build_named,
                             cartesian_product, complement, complete,
-                            complete_bipartite, connectivity,
+                            complete_bipartite, cut_vertices,
                             contains_subgraph, cycle, emit_graph, fiber, graph_from_edges, is_connected,
                             is_isomorphic, is_pattern_free, is_tree,
                             k_triangle, parse_graph, path, regularity)
@@ -89,12 +89,48 @@ def test_regularity_and_bipartiteness():
 
 def test_connectivity_report():
     G = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-    conn = connectivity(G)
-    assert conn.cut_vertices == frozenset({2, 3})
-    assert conn.bridges == frozenset({(2, 3), (3, 4)})
+    assert cut_vertices(G) == frozenset({2, 3})
     assert is_connected(G)
     assert not is_tree(G)
     assert is_tree(path(6))
+
+
+def _component_count(G, vertices):
+    left, count = set(vertices), 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            for u in G.adj[stack.pop()] & left:
+                left.discard(u)
+                stack.append(u)
+    return count
+
+
+def test_cut_vertices_match_brute_force():
+    # v is a cut vertex iff G - v has more components than G
+    rng = random.Random(4)
+    for i in range(240):
+        n = rng.randint(2, 12)
+        kind = i % 4
+        if kind == 0:
+            G = complete(n)
+        elif kind == 1:  # a random tree
+            G = graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        elif kind == 2:
+            p = rng.uniform(0.1, 0.9)
+            G = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+        else:  # a tree and a random graph side by side, not joined
+            k = rng.randint(1, n - 1)
+            edges = [(rng.randrange(v), v) for v in range(1, k)]
+            edges += [(u, v) for u in range(k, n) for v in range(u + 1, n)
+                      if rng.random() < 0.4]
+            G = graph_from_edges(n, edges)
+        whole = _component_count(G, range(n))
+        expected = {v for v in range(n)
+                    if _component_count(G, set(range(n)) - {v}) > whole}
+        assert cut_vertices(G) == expected, (G.edges(), expected)
 
 
 def test_cartesian_product_structure():

@@ -206,9 +206,9 @@ def test_propagation_keeps_the_search_small(G, q):
 
 
 @pytest.mark.parametrize("G", [path(16), cycle(9), build_named("prism")])
-def test_search_skipped_when_seed_meets_edge_upper_bound(G):
-    # no seed runs any more: the search stops at its first leaf that meets
-    # the bound, after 19, 12 and 12 assignments
+def test_search_stops_at_the_first_leaf_that_meets_the_edge_upper_bound(G):
+    # the search stops at its first leaf that meets the bound, after 19, 12
+    # and 12 assignments
     res = solve_q(G)
     assert res.q == edge_upper_bound(G)
     assert res.method == "upper_bound_met" and res.explored <= 3 * G.n
@@ -336,8 +336,8 @@ def test_matching_cut_search_is_not_bounded_by_recursion_limit():
     assert cert.has_cut and len(cert.crossing) == 2
 
 
-def test_long_path_seeding_is_cheap():
-    # 149 bridges and 148 cut vertices; the search alone takes 153 nodes
+def test_long_path_search_is_cheap():
+    # 149 bridges and 148 cut vertices; the search takes 153 nodes
     assert solve_q(path(150)).q == Fraction(2, 3)
 
 
@@ -347,10 +347,10 @@ def _random_tree(rng: random.Random, n: int):
 
 @pytest.mark.parametrize("G", [_random_tree(random.Random(7), 1000), path(400)],
                          ids=["random-tree-1000", "P400"])
-def test_seeding_stops_at_the_first_seed_that_settles_the_answer(G):
-    # no seed runs any more: the search finds its own incumbents and stops
-    # at the first leaf that settles the answer, after 10,978 and 403
-    # assignments for solve_q and 1,240 and 402 for decide
+def test_tree_search_stops_at_the_first_leaf_that_settles_the_answer(G):
+    # the search finds its own incumbents and stops at the first leaf that
+    # settles the answer, after 10,978 and 403 assignments for solve_q and
+    # 1,240 and 402 for decide
     q = tree_q(G).value
     res = solve_q(G)
     assert (res.method, res.q) == ("upper_bound_met", q)
@@ -369,8 +369,9 @@ def _path_plus_k5(length: int):
     return graph_from_edges(length + 5, edges)
 
 
-def test_long_bridged_graph_has_no_quadratic_seeding():
-    # the hill-climbed seeds took about 6 s on each call here
+def test_long_bridged_graph_search_is_linear():
+    # both calls stay within 3 assignments per vertex; a pass over every
+    # bridge or cut vertex per call would be quadratic here
     G = _path_plus_k5(2000)
     res = solve_q(G)
     assert res.q == Fraction(2, 3) and res.explored <= 3 * G.n

@@ -54,3 +54,22 @@ def test_import_defers_the_optional_modules():
                          ("catalog", "random_connected_graph")]:
         assert name in degratio.__all__
         assert getattr(degratio, name) is getattr(getattr(degratio, module), name)
+
+
+def test_library_imports_only_names_it_uses():
+    # a deletion can leave an import behind; __init__ imports to re-export
+    found = []
+    for path in sorted(Path(degratio.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        found.append(f"{path.name}:{node.lineno} {bound}")
+    assert not found, found
