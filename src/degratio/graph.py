@@ -1,5 +1,6 @@
 """Simple undirected graphs: representation, named constructions, cartesian
-products with fiber provenance, induced-pattern detection and cut vertices.
+products with fiber provenance, induced-pattern detection, and one low-link
+pass that finds bridges, cut vertices and components.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
 construction.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GraphParseError, ParameterError, PreconditionError
 
@@ -119,45 +120,62 @@ def is_connected(G: Graph) -> bool:
     return len(components(G)) == 1
 
 
-def cut_vertices(G: Graph) -> frozenset[int]:
-    """The cut vertices of G, via an iterative low-link pass."""
+def low_link(G: Graph) -> tuple[list[int], list[int], list[int]]:
+    """One iterative depth-first pass over every component, started from
+    the lowest unvisited vertex: the discovery time, low point and DFS-tree
+    parent of each vertex, the parent being -1 at a root.
+
+    A vertex's low point is the earliest discovery time it reaches by tree
+    edges down and one back edge.  A tree edge pv is a bridge iff
+    low[v] > disc[p], and a non-root p is a cut vertex iff some child v has
+    low[v] >= disc[p].  Each component is discovered in one run of times,
+    so the root 0's component is the vertices discovered before the next
+    root."""
+    adj = G.adj
     disc = [-1] * G.n
     low = [0] * G.n
-    cuts: set[int] = set()
+    parent = [-1] * G.n
     timer = 0
     for root in range(G.n):
-        if disc[root] != -1:
+        if disc[root] >= 0:
             continue
-        root_children = 0
-        # stack entries: (vertex, parent, neighbor iterator)
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(sorted(G.adj[root])))]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, it = stack[-1]
             for u in it:
-                if u == parent:
-                    continue
-                if disc[u] == -1:
+                if disc[u] < 0:
+                    parent[u] = v
                     disc[u] = low[u] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((u, v, iter(sorted(G.adj[u]))))
-                    advanced = True
+                    stack.append((u, iter(adj[u])))
                     break
-                low[v] = min(low[v], disc[u])
-            if not advanced:
+                if disc[u] < low[v] and u != parent[v]:
+                    low[v] = disc[u]
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return frozenset(cuts)
+                p = parent[v]
+                if p >= 0 and low[v] < low[p]:
+                    low[p] = low[v]
+    return disc, low, parent
+
+
+def cut_vertices(G: Graph) -> frozenset[int]:
+    """The cut vertices of G, from one :func:`low_link` pass: a root with
+    two or more DFS children, or a non-root p with a child v that reaches
+    no vertex above p (low[v] >= disc[p])."""
+    disc, low, parent = low_link(G)
+    cuts: set[int] = set()
+    children = [0] * G.n
+    for v, p in enumerate(parent):
+        if p < 0:
+            continue
+        if parent[p] < 0:
+            children[p] += 1
+        elif low[v] >= disc[p]:
+            cuts.add(p)
+    return frozenset(cuts | {r for r, c in enumerate(children) if c >= 2})
 
 
 def split_side(G: Graph, u: int, v: int) -> frozenset[int]:

@@ -150,13 +150,28 @@ def top_edge(G: Graph) -> tuple[tuple[int, int], int]:
     top = min(d[u], d[v]) over closed degrees, and that top.
 
     (t - 1)/t grows with t, so uv also maximizes min(d(u)/d[u], d(v)/d[v]),
-    and the edge upper bound on q(G) is (top - 1)/top.
+    and the edge upper bound on q(G) is (top - 1)/top.  The adjacency sets
+    are walked unsorted: a later u must beat top strictly, and among the
+    neighbors v > u of one u a tie goes to the lower v.  No edge beats the
+    largest closed degree, so the walk stops when top reaches it.
     """
+    d1 = [len(a) + 1 for a in G.adj]
+    most = max(d1)
     best, top = None, 0
-    for u, v in G.edges():
-        t = min(len(G.adj[u]), len(G.adj[v])) + 1
-        if t > top:
-            best, top = (u, v), t
+    for u, a in enumerate(G.adj):
+        du = d1[u]
+        if du <= top:
+            continue
+        bt, bv = top, -1
+        for v in a:
+            if v > u:
+                t = d1[v] if d1[v] < du else du
+                if t > bt or (t == bt and 0 <= bv and v < bv):
+                    bt, bv = t, v
+        if bv >= 0:
+            best, top = (u, bv), bt
+            if top == most:
+                break
     if best is None:
         raise PreconditionError("the graph has no edge")
     return best, top

@@ -2,13 +2,18 @@
 "q(G) >= q", and matching-cut detection, by one partition search; the
 degree-constrained partitions of ``construct`` use the same search.
 
-``solve_q`` and ``decide`` each run exactly one search and no sub-solve, so
+``solve_q`` and ``decide`` each run at most one search and no sub-solve, so
 the budget bounds the whole call and ``explored`` counts all of its work.
-The only shortcut is a disconnected graph, which a component splits with
-quality 1.  ``solve_q`` starts from the incumbent 0/1, under which the caps
-allow every partition, and finds its own incumbents at the leaves; it
-stops at the first leaf that meets the edge upper bound (top - 1)/top.
-``decide`` stops at its first leaf.
+A disconnected graph needs no search: a component splits it with quality 1.
+``solve_q`` makes one low-link pass before its search, which finds the
+components and every bridge.  A split at a bridge uv cuts only the edge uv,
+so its quality is exactly (t - 1)/t for t = min(d[u], d[v]).  The bridge
+with the largest t gives the first incumbent; when t is the top of the
+edge upper bound (top - 1)/top, that split is optimal and no search runs.
+Otherwise the search starts from that incumbent, or from 0/1 on a
+bridgeless graph, under which the caps allow every partition.  It finds
+better incumbents at the leaves and stops at the first leaf that meets the
+edge upper bound.  ``decide`` stops at its first leaf.
 
 Each search asks for a nontrivial partition in which each vertex v has at
 most cap[v] neighbors on the other side.  The caps do not depend on the
@@ -87,7 +92,8 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, CertificateError, ParameterError,
                      PreconditionError)
-from .graph import Graph, cartesian_product, components, is_connected
+from .graph import (Graph, cartesian_product, components, is_connected,
+                    low_link, split_side)
 from .ratios import (Bipartition, MatchingCutCertificate, certify,
                      crossing_edges, is_matching, min_ratio, top_edge)
 
@@ -316,23 +322,40 @@ def _component_split(G: Graph) -> Bipartition | None:
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions.
 
-    A disconnected graph answers at once with a component.  Otherwise one
-    branch and bound runs from the incumbent 0/1.  ``method`` is
-    ``"upper_bound_met"`` when the run stopped at a partition that meets an
-    upper bound, the edge bound (top - 1)/top or 1 for a disconnected
-    graph, and ``"pruned_search"`` when the search was exhausted.
+    One low-link pass finds the components and the bridges.  A disconnected
+    graph answers at once with a component.  A split at a bridge uv cuts
+    only the edge uv, so its quality is exactly (t - 1)/t for
+    t = min(d[u], d[v]); the bridge with the largest t gives the first
+    incumbent, and when t is the top of the edge bound it is the answer.
+    Otherwise one branch and bound runs from that incumbent, or from 0/1
+    on a bridgeless graph.  ``method`` is ``"upper_bound_met"`` when the
+    run stopped at a partition that meets an upper bound, the edge bound
+    (top - 1)/top or 1 for a disconnected graph, and ``"pruned_search"``
+    when the search was exhausted.
     """
-    split = _component_split(G)
-    if split is not None:
+    disc, low, parent = low_link(G)
+    if parent.count(-1) > 1:
+        # the root 0's component is what is discovered before the next root
+        first = disc[parent.index(-1, 1)]
+        split = Bipartition(tuple(1 if t < first else 2 for t in disc))
         return SolveResult(Fraction(1), split, 0, "upper_bound_met")
     top = top_edge(G)[1]
-    best_part, bk, bd = None, 0, 1
     d1 = [len(a) + 1 for a in G.adj]
+    best_part, bk, bd = None, 0, 1
     cap: list[int] = []
 
     def require_better_than(num: int, den: int):
         # kept/d1 > num/den  <=>  cross <= (d1 * (den - num) - 1) // den
         cap[:] = [(d * (den - num) - 1) // den for d in d1]
+
+    # the bridge pv (low[v] > disc[p]) with the largest min(d[p], d[v])
+    t, p, v = max(((min(d1[p], d1[v]), p, v) for v, p in enumerate(parent)
+                   if p >= 0 and low[v] > disc[p]), default=(0, 0, 0))
+    if t:
+        best_part = Bipartition.from_side1(G.n, split_side(G, v, p))
+        bk, bd = min_ratio(G, best_part.sides)
+        if bk * top == (top - 1) * bd:
+            return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
 
     def improve(sides) -> bool:
         # a lowered cap is checked only where a cross count changes later,

@@ -20,7 +20,7 @@ from degratio.formulas import (class_lower_bound, clique_q, cubic_q,
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cut_vertices, cycle,
                             graph_from_edges, is_connected, is_isomorphic,
-                            is_tree, k_triangle, path, regularity)
+                            k_triangle, path, regularity)
 from degratio.ratios import partition_quality
 from degratio.reductions import (bipartite_double_cover, cover_plus_matching,
                                  product_with_fixed, twin_expand_then_K2,

@@ -9,12 +9,13 @@ import pytest
 from degratio.catalog import product_pairs
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.formulas import closed_form
-from degratio.graph import (Graph, bipartition_classes, build_named,
+from degratio.graph import (bipartition_classes, build_named,
                             cartesian_product, complement, complete,
-                            complete_bipartite, cut_vertices,
-                            contains_subgraph, cycle, emit_graph, fiber, graph_from_edges, is_connected,
-                            is_isomorphic, is_pattern_free, is_tree,
-                            k_triangle, parse_graph, path, regularity)
+                            complete_bipartite, components, contains_subgraph,
+                            cut_vertices, cycle, emit_graph, fiber,
+                            graph_from_edges, is_connected, is_isomorphic,
+                            is_pattern_free, is_tree, k_triangle, low_link,
+                            parse_graph, path, regularity)
 from degratio.ratios import Bipartition, partition_quality
 from degratio.reductions import cover_plus_matching, verify_equivalence
 
@@ -107,30 +108,57 @@ def _component_count(G, vertices):
     return count
 
 
-def test_cut_vertices_match_brute_force():
-    # v is a cut vertex iff G - v has more components than G
-    rng = random.Random(4)
+def _mixed_graphs(rng):
+    """240 graphs on 2-12 vertices: cliques, random trees, random graphs,
+    and a tree beside a random graph, not joined."""
     for i in range(240):
         n = rng.randint(2, 12)
         kind = i % 4
         if kind == 0:
-            G = complete(n)
+            yield complete(n)
         elif kind == 1:  # a random tree
-            G = graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+            yield graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
         elif kind == 2:
             p = rng.uniform(0.1, 0.9)
-            G = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                     if rng.random() < p])
+            yield graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                       if rng.random() < p])
         else:  # a tree and a random graph side by side, not joined
             k = rng.randint(1, n - 1)
             edges = [(rng.randrange(v), v) for v in range(1, k)]
             edges += [(u, v) for u in range(k, n) for v in range(u + 1, n)
                       if rng.random() < 0.4]
-            G = graph_from_edges(n, edges)
+            yield graph_from_edges(n, edges)
+
+
+def test_cut_vertices_match_brute_force():
+    # v is a cut vertex iff G - v has more components than G
+    for G in _mixed_graphs(random.Random(4)):
+        n = G.n
         whole = _component_count(G, range(n))
         expected = {v for v in range(n)
                     if _component_count(G, set(range(n)) - {v}) > whole}
         assert cut_vertices(G) == expected, (G.edges(), expected)
+
+
+def test_low_link_finds_bridges_and_components():
+    # a tree edge pv is a bridge iff low[v] > disc[p], and an edge is a
+    # bridge iff deleting it adds a component; each root starts a component,
+    # and the root 0's component is what is discovered before the next root
+    for G in _mixed_graphs(random.Random(6)):
+        disc, low, parent = low_link(G)
+        found = {frozenset((p, v)) for v, p in enumerate(parent)
+                 if p >= 0 and low[v] > disc[p]}
+        whole = _component_count(G, range(G.n))
+        expected = set()
+        for u, v in G.edges():
+            H = graph_from_edges(G.n, [e for e in G.edges() if e != (u, v)])
+            if _component_count(H, range(G.n)) > whole:
+                expected.add(frozenset((u, v)))
+        assert found == expected, G.edges()
+        roots = [v for v, p in enumerate(parent) if p < 0]
+        assert roots[0] == 0 and len(roots) == whole
+        first = disc[roots[1]] if len(roots) > 1 else G.n
+        assert {v for v in range(G.n) if disc[v] < first} == components(G)[0]
 
 
 def test_cartesian_product_structure():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degratio.catalog import random_connected_graph
-from degratio.errors import ParameterError
-from degratio.graph import build_named, complete, cycle, path
+from degratio.catalog import (base_catalog, cubic_catalog, product_pairs,
+                              random_connected_graph)
+from degratio.errors import ParameterError, PreconditionError
+from degratio.graph import build_named, complete, cycle, graph_from_edges, path
 from degratio.ratios import (Bipartition, crossing_edges, format_ratio,
                              is_matching, parse_ratio, partition_quality,
-                             vertex_ratio)
+                             top_edge, vertex_ratio)
 
 
 def test_ratio_round_trip():
@@ -101,3 +102,35 @@ def test_crossing_edges_partition_monotone():
     for v in range(G.n):
         if v != 0 and v not in G.adj[0]:
             assert base[v] == after[v]
+
+
+def _top_edge_reference(G):
+    """The first edge of ``G.edges()`` with the largest min(d[u], d[v])."""
+    best, top = None, 0
+    for u, v in G.edges():
+        t = min(G.closed_degree(u), G.closed_degree(v))
+        if t > top:
+            best, top = (u, v), t
+    return best, top
+
+
+def test_top_edge_matches_the_sorted_edge_reference():
+    # top_edge walks the adjacency sets unsorted; the witnesses of tree_q and
+    # product_kreg_tree_q split at its edge, so the tie rule must not change
+    rng = random.Random(9)
+    graphs = list(base_catalog()) + list(cubic_catalog())
+    graphs += [P for _, _, P in product_pairs(max_product=36)]
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        p = rng.choice((0.1, 0.2, 0.4, 0.8))
+        graphs.append(graph_from_edges(n, [(u, v) for u in range(n)
+                                           for v in range(u + 1, n) if rng.random() < p]))
+    checked = 0
+    for G in graphs:
+        if G.num_edges:
+            assert top_edge(G) == _top_edge_reference(G), G.adj
+            checked += 1
+        else:
+            with pytest.raises(PreconditionError):
+                top_edge(G)
+    assert checked > 250

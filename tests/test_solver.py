@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (naive_demand_partition, naive_matching_cut, naive_q,
                       paley)
 from degratio.catalog import product_pairs, random_connected_graph
-from degratio import solver
+from degratio import graph, solver
 from degratio.errors import BudgetExceededError, CertificateError, \
     ParameterError, PreconditionError
 from degratio.formulas import class_lower_bound, edge_upper_bound, tree_q
@@ -20,7 +20,7 @@ from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             k_triangle, path)
 from degratio.ratios import (Bipartition, crossing_edges, is_matching,
-                             min_ratio, partition_quality)
+                             min_ratio, partition_quality, top_edge)
 from degratio.solver import (_mcs_order, _search, decide, find_matching_cut,
                              lift_partition, product_matching_cut, solve_q)
 
@@ -207,8 +207,9 @@ def test_propagation_keeps_the_search_small(G, q):
 
 @pytest.mark.parametrize("G", [path(16), cycle(9), build_named("prism")])
 def test_search_stops_at_the_first_leaf_that_meets_the_edge_upper_bound(G):
-    # the search stops at its first leaf that meets the bound, after 19, 12
-    # and 12 assignments
+    # P16's strongest bridge meets the bound, so no search runs (0
+    # assignments); C9 and the prism have no bridge, and the search stops at
+    # its first leaf that meets the bound, after 12 and 12 assignments
     res = solve_q(G)
     assert res.q == edge_upper_bound(G)
     assert res.method == "upper_bound_met" and res.explored <= 3 * G.n
@@ -337,8 +338,10 @@ def test_matching_cut_search_is_not_bounded_by_recursion_limit():
 
 
 def test_long_path_search_is_cheap():
-    # 149 bridges and 148 cut vertices; the search takes 153 nodes
-    assert solve_q(path(150)).q == Fraction(2, 3)
+    # 149 bridges and 148 cut vertices; a middle bridge meets the edge bound,
+    # so no search runs
+    res = solve_q(path(150))
+    assert res.q == Fraction(2, 3) and res.explored == 0
 
 
 def _random_tree(rng: random.Random, n: int):
@@ -348,13 +351,14 @@ def _random_tree(rng: random.Random, n: int):
 @pytest.mark.parametrize("G", [_random_tree(random.Random(7), 1000), path(400)],
                          ids=["random-tree-1000", "P400"])
 def test_tree_search_stops_at_the_first_leaf_that_settles_the_answer(G):
-    # the search finds its own incumbents and stops at the first leaf that
-    # settles the answer, after 10,978 and 403 assignments for solve_q and
-    # 1,240 and 402 for decide
+    # every edge of a tree is a bridge, so solve_q returns the split at the
+    # top edge with no search (0 assignments); decide searches and stops at
+    # its first leaf, after 1,240 and 402 assignments
     q = tree_q(G).value
     res = solve_q(G)
     assert (res.method, res.q) == ("upper_bound_met", q)
     assert res.explored <= 15 * G.n
+    assert res.explored == 0
     yes = decide(G, q)
     assert yes.satisfied and yes.explored <= 15 * G.n
     assert partition_quality(G, yes.witness).quality == q
@@ -370,13 +374,78 @@ def _path_plus_k5(length: int):
 
 
 def test_long_bridged_graph_search_is_linear():
-    # both calls stay within 3 assignments per vertex; a pass over every
-    # bridge or cut vertex per call would be quadratic here
+    # both calls stay within 3 assignments per vertex (2,007 each); a pass
+    # over every bridge or cut vertex per call would be quadratic here
     G = _path_plus_k5(2000)
     res = solve_q(G)
     assert res.q == Fraction(2, 3) and res.explored <= 3 * G.n
     no = decide(G, Fraction(3, 4))
     assert not no.satisfied and no.explored <= 3 * G.n
+
+
+def _two_triangles():
+    """Two triangles joined by the bridge 2-3."""
+    return graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+
+
+def _late_bridge():
+    """Top edges of t = 4: the first, 0-1, lies on the 4-cycle 0-1-2-3 and
+    in no triangle, and the bridge 3-7 comes later.  The leaves 4, 5 and 6
+    hang from 0, 1 and 2 by weaker bridges, and vertex 7 closes a triangle
+    with 8 and 9."""
+    return graph_from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5),
+                                 (2, 6), (3, 7), (7, 8), (7, 9), (8, 9)])
+
+
+def test_bridge_incumbent_matches_oracle():
+    # the strongest bridge's split is the first incumbent; its quality is
+    # (t - 1)/t, and the answer when t is the top of the edge bound
+    rng = random.Random(17)
+    graphs = [_two_triangles(), _late_bridge()]
+    graphs += [_path_plus_k5(length) for length in range(2, 7)]
+    for i in range(40):
+        n = rng.randint(3, 11)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        size = min(n - 1 + i % 4, n * (n - 1) // 2)
+        while len(edges) < size:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        label = rng.sample(range(n), n)
+        graphs.append(graph_from_edges(n, [(label[u], label[v]) for u, v in edges]))
+    for G in graphs:
+        q, _ = naive_q(G)
+        res = solve_q(G)
+        assert res.q == q, G.adj
+        assert Fraction(*min_ratio(G, res.optimal_partition.sides)) == q
+    # the best bridge of a path+K5 falls below the edge bound 4/5: the search
+    # runs from it and proves it optimal
+    res = solve_q(_path_plus_k5(6))
+    assert res.method == "pruned_search" and res.q == Fraction(2, 3)
+    assert top_edge(_late_bridge()) == ((0, 1), 4)
+    for G in (_two_triangles(), _late_bridge()):
+        res = solve_q(G)
+        assert (res.q, res.explored, res.method) == (Fraction(3, 4), 0, "upper_bound_met")
+
+
+@pytest.mark.parametrize("G", [cycle(3000), complete_bipartite(30, 30),
+                               _random_tree(random.Random(3), 5000)],
+                         ids=["C3000", "K30_30", "random-tree-5000"])
+def test_bridge_incumbent_costs_one_graph_pass(G, monkeypatch):
+    # one low-link pass finds the components and every bridge, and at most
+    # one flood fill builds the split; checking each top edge with its own
+    # flood fill would be quadratic on a bridgeless graph
+    calls = []
+    for module, fn in [(solver, solver.split_side), (solver, solver.low_link),
+                       (graph, graph.low_link), (graph, graph.components),
+                       (solver, solver.components)]:
+        monkeypatch.setattr(module, fn.__name__, lambda *args, _fn=fn:
+                            calls.append(_fn.__name__) or _fn(*args))
+    res = solve_q(G)
+    assert calls.count("low_link") == 1 and calls.count("components") == 0
+    # a bridgeless graph gets no flood fill, and a tree exactly one
+    is_tree = G.num_edges == G.n - 1
+    assert calls.count("split_side") == is_tree
+    if is_tree:
+        assert res.explored == 0
 
 
 @pytest.mark.parametrize("name", ["prod:cube,K4", "prod:K4,K4", "petersen"])
