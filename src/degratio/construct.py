@@ -148,7 +148,7 @@ def _demand_partition(G: Graph, demands: DegreeDemands, budget: int) -> Bipartit
     if P is not None:
         return P
     cap = [G.degree(v) - demands.f[v] for v in range(n)]
-    _, sides = _search(G, cap, budget, lambda sides: True)
+    _, sides = _search(G, cap, budget, lambda sides, same: True)
     if sides is None:
         raise CertificateError(
             f"no demand-feasible partition exists under regime {demands.regime!r} "

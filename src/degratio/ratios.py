@@ -107,7 +107,10 @@ def partition_quality(G: Graph, P: Bipartition) -> QualityReport:
     per_vertex = []
     bk, bd, witness = 2, 1, 0
     for v, (a, s) in enumerate(zip(G.adj, sides)):
-        k = 1 + [sides[u] for u in a].count(s)
+        k = 1
+        for u in a:
+            if sides[u] == s:
+                k += 1
         d = len(a) + 1
         r = ratios.get((k, d))
         if r is None:
@@ -124,7 +127,10 @@ def min_ratio(G: Graph, sides) -> tuple[int, int]:
     kept on its own side, the first such vertex winning ties."""
     bk = bd = 1
     for a, s in zip(G.adj, sides):
-        k = 1 + [sides[u] for u in a].count(s)
+        k = 1
+        for u in a:
+            if sides[u] == s:
+                k += 1
         d = len(a) + 1
         if k * bd < bk * d:
             bk, bd = k, d

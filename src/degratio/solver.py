@@ -32,7 +32,10 @@ vertex is forced onto both sides or pushed over its cap.
 
 An assignment costs little.  Saturation is lazy: a saturated vertex's free
 neighbors are listed only when the propagation queue reaches it, so a
-conflict found first saves the list.  Undo has two paths.  On a dense
+conflict found first saves the list, and they are listed by a plain loop:
+CPython 3.11 builds a frame for every comprehension it runs (3.12 inlines
+them, PEP 709, so the loop gains less there and loses nothing).  A graph
+without twins skips the twin rule below.  Undo has two paths.  On a dense
 graph, ``n * n <= 8 * m``, each decision saves the two neighbor-count
 arrays and backtracking restores them; the copies hold at most 2n^2 <= 16m
 counts, a constant multiple of the adjacency.  On a sparser graph, where
@@ -44,7 +47,9 @@ so a forced assignment made under an older cap is still forced under the
 newer one: "more than the old cap" implies "more than the new cap", and a
 vertex saturated under the old cap is at or over the new one.  A lowered
 cap is checked only where a count changes later, so a leaf may fall short
-of the newest incumbent; ``solve_q`` rescores every leaf.
+of the newest incumbent.  So ``solve_q`` scores every leaf, in O(n) from
+the search's own neighbor counts, and a witness found by its search is
+certified by ``ratios.certify`` before it is returned.
 
 It also breaks twin symmetry.  True twins (N[u] = N[w]) and false twins
 (N(u) = N(w)) can be swapped by an automorphism, and every question asked
@@ -208,11 +213,16 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     increment is made before a conflict is reported, so this restores the
     counts exactly.
 
-    At each complete assignment with both sides nonempty, ``on_leaf(sides)``
-    is called; the search stops there when it returns true.  ``on_leaf`` may
-    lower ``cap`` in place, and later checks use the new caps.  The stack is
-    explicit, so the depth is not bounded by the interpreter's recursion
-    limit.
+    At each complete assignment with both sides nonempty,
+    ``on_leaf(sides, same)`` is called; the search stops there when it
+    returns true.  ``same[s][v]`` is then exactly v's number of neighbors on
+    side s: the counts always match the vertices on the trail, since every
+    placed vertex is on it with all of its increments made, and both undo
+    paths restore the counts of a shorter trail; at a leaf the trail holds
+    every vertex.  ``on_leaf`` must read the counts before it returns, as
+    the search goes on changing them.  It may lower ``cap`` in place, and
+    later checks use the new caps.  The stack is explicit, so the depth is
+    not bounded by the interpreter's recursion limit.
 
     Returns ``(explored, sides)``: the number of attempted assignments,
     decided or forced, and the leaf that stopped the search, or None when the
@@ -227,6 +237,7 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
         if w >= 0:
             succ[w] = v
     chain = (None, prev, succ)  # side 1 pulls the previous twin, side 2 the next
+    twins = max(prev) >= 0
     adjl = [tuple(a) for a in G.adj]
     copy = n * n <= 4 * sum(map(len, adjl))  # n * n <= 8 * m
     side = [0] * n
@@ -244,7 +255,9 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
             s = x & 3
             if not s:  # v is saturated: its free neighbors join its side
                 s = side[v]
-                queue += [w << 2 | s for w in adjl[v] if not side[w]]
+                for w in adjl[v]:
+                    if not side[w]:
+                        queue.append(w << 2 | s)
                 continue
             if side[v]:
                 if side[v] != s:
@@ -279,9 +292,10 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                 break
             if so[v] == cv:
                 queue.append(v << 2)
-            w = chain[s][v]
-            if w >= 0:
-                queue.append(w << 2 | s)
+            if twins:
+                w = chain[s][v]
+                if w >= 0:
+                    queue.append(w << 2 | s)
         if ok:
             while i < n and side[order[i]]:
                 i += 1
@@ -292,7 +306,7 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                 continue
             if 2 in side:
                 sides = tuple(side)
-                if on_leaf(sides):
+                if on_leaf(sides, same):
                     return explored, sides
         if not levels:
             return explored, None
@@ -331,7 +345,9 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     on a bridgeless graph.  ``method`` is ``"upper_bound_met"`` when the
     run stopped at a partition that meets an upper bound, the edge bound
     (top - 1)/top or 1 for a disconnected graph, and ``"pruned_search"``
-    when the search was exhausted.
+    when the search was exhausted.  The search's leaves are scored from its
+    own neighbor counts, so a witness it found is certified before it is
+    returned.
     """
     disc, low, parent = low_link(G)
     if parent.count(-1) > 1:
@@ -357,20 +373,29 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
         if bk * top == (top - 1) * bd:
             return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
 
-    def improve(sides) -> bool:
+    def improve(sides, same) -> bool:
         # a lowered cap is checked only where a cross count changes later,
-        # so a leaf can fall short of an incumbent found after its prefix
+        # so a leaf can fall short of an incumbent found after its prefix;
+        # the leaf is scored like min_ratio, from the search's exact counts
         nonlocal best_part, bk, bd
-        k, d = min_ratio(G, sides)
+        k = d = 1
+        for v, s in enumerate(sides):
+            kv = 1 + same[s][v]
+            if kv * d < k * d1[v]:
+                k, d = kv, d1[v]
         if k * bd > bk * d:
             best_part, bk, bd = Bipartition(sides), k, d
             require_better_than(k, d)
         return bk * top == (top - 1) * bd  # nothing beats the upper bound
 
+    start = best_part
     require_better_than(bk, bd)
     explored, stop = _search(G, cap, budget, improve)
+    q = Fraction(bk, bd)
+    if best_part is not start:  # scored from the search's counts: check it
+        certify(G, best_part, q, "==")
     method = "pruned_search" if stop is None else "upper_bound_met"
-    return SolveResult(Fraction(bk, bd), best_part, explored, method)
+    return SolveResult(q, best_part, explored, method)
 
 
 # -- the decision problem ---------------------------------------------------
@@ -387,7 +412,7 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
     num, den = q.numerator, q.denominator
     # kept/d1 >= q  <=>  cross <= d1 * (den - num) // den
     cap = [(len(a) + 1) * (den - num) // den for a in G.adj]
-    explored, sides = _search(G, cap, budget, lambda sides: True)
+    explored, sides = _search(G, cap, budget, lambda sides, same: True)
     if sides is None:
         return DecideResult(False, None, explored)
     witness = Bipartition(sides)
@@ -409,7 +434,7 @@ def _cut_partition(G: Graph, budget: int,
     """
     if not (product_rule and G.factors):
         # a vertex with two cross neighbors kills the branch, so a leaf is a cut
-        explored, sides = _search(G, [1] * G.n, budget, lambda sides: True)
+        explored, sides = _search(G, [1] * G.n, budget, lambda sides, same: True)
         return explored, None if sides is None else Bipartition(sides)
     spent = 0
     for which, F in zip(("left", "right"), G.factors):

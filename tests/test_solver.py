@@ -19,7 +19,7 @@ from degratio.formulas import class_lower_bound, edge_upper_bound, tree_q
 from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, cycle, graph_from_edges,
                             k_triangle, path)
-from degratio.ratios import (Bipartition, crossing_edges, is_matching,
+from degratio.ratios import (Bipartition, certify, crossing_edges, is_matching,
                              min_ratio, partition_quality, top_edge)
 from degratio.solver import (_mcs_order, _search, decide, find_matching_cut,
                              lift_partition, product_matching_cut, solve_q)
@@ -98,7 +98,7 @@ def test_search_with_demand_caps_matches_oracle():
         cases.append((G, [rng.randint(0, (G.degree(v) + 3) // 2) for v in range(G.n)]))
     for G, f in cases:
         cap = [G.degree(v) - f[v] for v in range(G.n)]
-        _, sides = _search(G, cap, 1 << 30, lambda sides: True)
+        _, sides = _search(G, cap, 1 << 30, lambda sides, same: True)
         assert (sides is not None) == naive_demand_partition(G, f), (G.adj, f)
         if sides is not None:
             assert 1 in sides and 2 in sides
@@ -143,8 +143,64 @@ def test_both_undo_paths_match_oracles(dense):
         for _ in range(3):
             f = [rng.randint(0, (G.degree(v) + 3) // 2) for v in range(n)]
             cap = [G.degree(v) - f[v] for v in range(n)]
-            _, sides = _search(G, cap, 1 << 30, lambda sides: True)
+            _, sides = _search(G, cap, 1 << 30, lambda sides, same: True)
             assert (sides is not None) == naive_demand_partition(G, f), (G.adj, f)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["copy-undo", "trail-undo"])
+def test_leaf_counts_are_exact_on_both_undo_paths(dense):
+    # on_leaf gets the search's neighbor counts, same[s][v], and solve_q
+    # scores its leaves from them; at every leaf they must equal the counts
+    # read from G.adj, after backtracking over conflicts on either path
+    rng = random.Random(13 if dense else 14)
+    leaves = 0
+
+    def check(sides, same):
+        nonlocal leaves
+        leaves += 1
+        for v, s in enumerate(sides):
+            kept = sum(sides[u] == s for u in G.adj[v])
+            assert (same[s][v], same[3 - s][v]) == (kept, G.degree(v) - kept)
+        return False  # run the search to its end
+
+    for _ in range(6):
+        n = rng.randint(9, 12)
+        G = random_connected_graph(rng, n, rng.uniform(0.5, 0.9)) if dense \
+            else _tree_with_chords(rng, n)
+        assert (n * n <= 8 * G.num_edges) == dense
+        q, _ = naive_q(G)
+        caps = [[G.degree(v) for v in range(n)],
+                [(G.degree(v) + 1) * (q.denominator - q.numerator) // q.denominator
+                 for v in range(n)]]
+        caps += [[G.degree(v) - rng.randint(0, (G.degree(v) + 3) // 2) for v in range(n)]
+                 for _ in range(3)]
+        for cap in caps:
+            assert _search(G, cap, 1 << 30, check)[1] is None
+    assert leaves > 1000
+
+
+def test_solve_q_certifies_a_witness_its_search_found(monkeypatch):
+    # a leaf scored from the search's counts is certified once; the bridge
+    # and component splits are scored by min_ratio itself, and so is the
+    # bridge incumbent when the search finds nothing better
+    calls = []
+
+    def spy(G, P, bound, relation=">="):
+        calls.append(relation)
+        return certify(G, P, bound, relation)
+
+    monkeypatch.setattr(solver, "certify", spy)
+    pendant_k6 = graph_from_edges(7, [(u, v) for v in range(6) for u in range(v)]
+                                  + [(5, 6)])
+    for G, q, method, expected in [
+            (build_named("petersen"), Fraction(3, 4), "upper_bound_met", ["=="]),
+            (complete(5), Fraction(2, 5), "pruned_search", ["=="]),
+            (path(6), Fraction(2, 3), "upper_bound_met", []),
+            (graph_from_edges(4, [(0, 1), (2, 3)]), Fraction(1), "upper_bound_met", []),
+            (pendant_k6, Fraction(1, 2), "pruned_search", [])]:
+        calls.clear()
+        res = solve_q(G)
+        assert (res.q, res.method, calls) == (q, method, expected)
 
 
 def test_search_memory_stays_linear_on_sparse_graphs():

@@ -76,3 +76,24 @@ def test_library_imports_only_names_it_uses():
                     if bound not in used:
                         found.append(f"{path.parent.name}/{path.name}:{node.lineno} {bound}")
     assert not found, found
+
+
+def test_hot_loops_hold_no_comprehension():
+    # CPython 3.11 builds a frame for each comprehension or generator
+    # expression it runs; one per saturation marker in _search cost 8% of
+    # the solve-dense benchmark pass, and one per vertex made the quality
+    # kernels and the product construction 1.5-2.5x slower than plain loops.
+    # A comprehension inside another one runs once per outer item, too.
+    hot = {"_search", "min_ratio", "partition_quality", "cartesian_product"}
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found, seen = set(), set()
+    for name, node in _library_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name in hot:
+            seen.add(node.name)
+            for loop in ast.walk(node):
+                if isinstance(loop, (ast.For, ast.While) + comprehensions):
+                    found |= {f"{name}:{c.lineno} in {node.name}"
+                              for c in ast.walk(loop)
+                              if c is not loop and isinstance(c, comprehensions)}
+    assert seen == hot
+    assert not found, sorted(found)
