@@ -3,7 +3,11 @@ products with fiber provenance, induced-pattern detection, and one low-link
 pass that finds bridges, cut vertices and components.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
-construction.
+construction.  Adjacency is checked once, where it enters: a direct
+``Graph(n, adj)`` checks that it is symmetric, loop-free and in range, and
+``graph_from_edges`` and ``parse_graph`` check each edge as they read it.
+They, ``complement``, ``cartesian_product`` and ``relabel`` then build
+through ``_trusted``, which skips ``Graph``'s O(m) walk.
 """
 
 from __future__ import annotations
@@ -73,11 +77,22 @@ class Graph:
         return range(self.n)
 
     def relabel(self, name: str) -> "Graph":
-        return Graph(self.n, self.adj, name=name, factors=self.factors)
+        return _trusted(self.n, self.adj, name, self.factors)
 
     def __repr__(self):
         label = self.name or f"graph"
         return f"<{label}: n={self.n} m={self.num_edges}>"
+
+
+def _trusted(n: int, adj: tuple[frozenset[int], ...], name: str | None,
+             factors: tuple[Graph, Graph] | None = None) -> Graph:
+    """A Graph on adjacency its builder already made symmetric, loop-free
+    and in range, without ``__post_init__``'s walk; n >= 2 is still checked."""
+    if n < 2:
+        raise ParameterError(f"graphs must have at least 2 vertices, got n={n}")
+    G = object.__new__(Graph)
+    G.__dict__.update(n=n, adj=adj, name=name, factors=factors)
+    return G
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None = None,
@@ -90,7 +105,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None 
             raise ParameterError(f"edge {u}-{v} out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj), name=name, factors=factors)
+    return _trusted(n, tuple(map(frozenset, adj)), name, factors)
 
 
 # -- connectivity -----------------------------------------------------------
@@ -117,7 +132,17 @@ def components(G: Graph) -> list[frozenset[int]]:
 
 
 def is_connected(G: Graph) -> bool:
-    return len(components(G)) == 1
+    """One flood fill from vertex 0 over a list of flags."""
+    adj = G.adj
+    seen = [False] * G.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for u in adj[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return False not in seen
 
 
 def low_link(G: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -231,7 +256,7 @@ def complement(G: Graph) -> Graph:
     name = None
     if G.name:
         name = f"co-{G.name}"
-    return Graph(G.n, adj, name=name)
+    return _trusted(G.n, adj, name)
 
 
 def disjoint_union(G: Graph, H: Graph, name: str | None = None) -> Graph:
@@ -265,7 +290,7 @@ def cartesian_product(G: Graph, H: Graph) -> Graph:
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
-    return Graph(G.n * hn, tuple(adj), name=name, factors=(G, H))
+    return _trusted(G.n * hn, tuple(adj), name, (G, H))
 
 
 def fiber(P: Graph, which: str, anchor: int) -> tuple[int, ...]:
@@ -601,7 +626,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         raise GraphParseError("missing p line")
     if m != edges:
         raise GraphParseError(f"p line declares {m} edges but {edges} given")
-    return Graph(n, tuple(map(frozenset, adj)), name=name)
+    return _trusted(n, tuple(map(frozenset, adj)), name)
 
 
 def emit_graph(G: Graph) -> str:

@@ -48,6 +48,8 @@ class Bipartition:
     @classmethod
     def from_side1(cls, n: int, side1) -> "Bipartition":
         side1 = set(side1)
+        if side1 and (min(side1) < 0 or max(side1) >= n):
+            raise ParameterError(f"side-1 labels must lie in 0..{n - 1}")
         return cls(tuple(1 if v in side1 else 2 for v in range(n)))
 
     @classmethod
@@ -82,6 +84,8 @@ def _check(G: Graph, P: Bipartition):
 def vertex_ratio(G: Graph, P: Bipartition, v: int) -> Fraction:
     """Degree ratio of v: fraction of its closed neighborhood on its own side."""
     _check(G, P)
+    if not 0 <= v < G.n:
+        raise ParameterError(f"vertex {v} out of range 0..{G.n - 1}")
     side = P.sides[v]
     kept = 1 + sum(1 for u in G.adj[v] if P.sides[u] == side)
     return Fraction(kept, G.closed_degree(v))

@@ -165,13 +165,22 @@ def _twin_before(G: Graph, order: list[int], cap: list[int]) -> list[int]:
     An open neighborhood never equals a closed one (N(u) = N[w] gives w in
     N(u), so u in N[w] = N(u)), so one dictionary holds both kinds of key,
     and by the module docstring at most one of them has an earlier twin."""
-    last: dict[tuple[frozenset[int], int], int] = {}
-    twin = [-1] * G.n
+    n, adj = G.n, G.adj
+    # twins share degree and cap, so only a (degree, cap) class of two or
+    # more vertices needs keys, and within one class a key is a neighborhood
+    classes: dict[int, list[int]] = {}
     for v in order:
-        false_key = (G.adj[v], cap[v])
-        true_key = (G.adj[v] | {v}, cap[v])
-        twin[v] = max(last.get(false_key, -1), last.get(true_key, -1))
-        last[false_key] = last[true_key] = v
+        classes.setdefault(cap[v] * n + len(adj[v]), []).append(v)
+    twin = [-1] * n
+    for members in classes.values():
+        if len(members) > 1:
+            last: dict[frozenset[int], int] = {}
+            for v in members:
+                a = adj[v]
+                ta = a | {v}
+                f, t = last.get(a, -1), last.get(ta, -1)
+                twin[v] = f if f > t else t
+                last[a] = last[ta] = v
     return twin
 
 
@@ -329,8 +338,9 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
 def _component_split(G: Graph) -> Bipartition | None:
     """A partition with one component on side 1 when G is disconnected; it
     has quality 1, which no partition beats.  None for a connected graph."""
-    comps = components(G)
-    return Bipartition.from_side1(G.n, comps[0]) if len(comps) > 1 else None
+    if is_connected(G):
+        return None
+    return Bipartition.from_side1(G.n, components(G)[0])
 
 
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:

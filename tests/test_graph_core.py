@@ -9,7 +9,7 @@ import pytest
 from degratio.catalog import product_pairs
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.formulas import closed_form
-from degratio.graph import (bipartition_classes, build_named,
+from degratio.graph import (Graph, bipartition_classes, build_named,
                             cartesian_product, complement, complete,
                             complete_bipartite, components, contains_subgraph,
                             cut_vertices, cycle, emit_graph, fiber,
@@ -80,6 +80,45 @@ def test_loops_and_bad_edges_rejected():
         graph_from_edges(3, [(0, 5)])
 
 
+def test_direct_construction_checks_adjacency():
+    e = frozenset()
+    bad = [(3, (frozenset({1}), e, e)),  # asymmetric
+           (2, (frozenset({0, 1}), frozenset({0}))),  # self-loop
+           (2, (frozenset({2}), e)),  # out of range
+           (3, (e, e)),  # length
+           (1, (e,))]
+    for n, adj in bad:
+        with pytest.raises(ParameterError):
+            Graph(n, adj)
+
+
+def test_builders_skip_the_adjacency_walk(monkeypatch):
+    # the five builders check their input as they read it, or derive from a
+    # checked graph, so none of them repeats the O(m) walk of __post_init__
+    walks = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self: walks.append(self.n) or check(self))
+    G = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    H = parse_graph("p 3 2\ne 1 2\ne 2 3\n")
+    complement(cartesian_product(G, H)).relabel("co-P4xP3")
+    assert walks == []
+    with pytest.raises(ParameterError):
+        graph_from_edges(1, [])
+    Graph(G.n, G.adj)
+    assert walks == [4]
+
+
+def test_derived_graphs_equal_checked_copies():
+    # a Graph(n, adj) copy runs the full adjacency check, which raises on a
+    # row a builder left asymmetric, looped or out of range
+    graphs = [P for _, _, P in product_pairs()]
+    for G in _mixed_graphs(random.Random(9)):
+        graphs += [G, complement(G), parse_graph(emit_graph(G)), G.relabel("x")]
+    for H in graphs:
+        assert Graph(H.n, H.adj) == H
+
+
 def test_regularity_and_bipartiteness():
     assert regularity(build_named("petersen")) == 3
     assert regularity(path(4)) is None
@@ -128,6 +167,12 @@ def _mixed_graphs(rng):
             edges += [(u, v) for u in range(k, n) for v in range(u + 1, n)
                       if rng.random() < 0.4]
             yield graph_from_edges(n, edges)
+
+
+def test_is_connected_agrees_with_components():
+    for G in _mixed_graphs(random.Random(5)):
+        for H in (G, complement(G)):
+            assert is_connected(H) == (len(components(H)) == 1), H.edges()
 
 
 def test_cut_vertices_match_brute_force():

@@ -46,6 +46,22 @@ def test_vertex_ratio_examples():
     assert rep.quality == Fraction(1, 3) and rep.witness_vertex == 2
 
 
+def test_vertex_ratio_refuses_vertices_out_of_range():
+    # -1 used to read vertex n - 1, and n a bare IndexError
+    G, P = cycle(3), Bipartition.from_string("112")
+    for v in (-1, 3, 10):
+        with pytest.raises(ParameterError):
+            vertex_ratio(G, P, v)
+
+
+def test_from_side1_refuses_labels_out_of_range():
+    # a label past n used to be dropped silently
+    for side1 in ([0, 5], [-1, 0], [0, 3]):
+        with pytest.raises(ParameterError):
+            Bipartition.from_side1(3, side1)
+    assert Bipartition.from_side1(3, [0, 2]).sides == (1, 2, 1)
+
+
 def test_quality_witness_is_smallest_label():
     G = complete(4)
     rep = partition_quality(G, Bipartition.from_string("1122"))

@@ -87,6 +87,25 @@ def test_twin_rule_matches_oracles_on_blow_ups(seed):
         assert is_matching(G, crossing_edges(G, cert.partition))
 
 
+def test_twin_before_matches_brute_force():
+    # blow-ups plant true and false twins; random caps of 0 or 1 differ
+    # inside one degree class, and a twin with another cap is not taken
+    rng = random.Random(11)
+    for i in range(300):
+        G = _blow_up(rng, 14) if i % 3 else \
+            random_connected_graph(rng, rng.randint(2, 12), p=rng.uniform(0.2, 0.8))
+        cap = [rng.randint(0, 1) if i % 2 else G.degree(v) // 2 for v in range(G.n)]
+        order = rng.sample(range(G.n), G.n)
+        expected, seen = [-1] * G.n, []
+        for v in order:
+            for w in seen:
+                if cap[w] == cap[v] and (G.adj[w] == G.adj[v]
+                                         or G.adj[w] | {w} == G.adj[v] | {v}):
+                    expected[v] = w
+            seen.append(v)
+        assert solver._twin_before(G, order, cap) == expected, (G.edges(), cap, order)
+
+
 def test_search_with_demand_caps_matches_oracle():
     # a demand f(v) is the cap d(v) - f(v); leaves 1 and 2 of the path are
     # false twins with different demands, and only 1 may leave vertex 0
