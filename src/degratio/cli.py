@@ -26,8 +26,8 @@ from dataclasses import asdict
 from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
                      PreconditionError)
-from .graph import (Graph, bipartition_classes, build_named, emit_graph,
-                    parse_graph, regularity)
+from .graph import (Graph, build_named, emit_graph, parse_graph, regularity,
+                    two_coloring)
 from .ratios import format_ratio, parse_ratio
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut, solve_q
 
@@ -78,7 +78,7 @@ def _graph_summary(G: Graph) -> dict:
         "min_degree": G.min_degree,
         "max_degree": G.max_degree,
         "regularity": regularity(G),
-        "bipartite": bipartition_classes(G) is not None,
+        "bipartite": two_coloring(G) is not None,
         "name": G.name,
     }
 
@@ -129,11 +129,11 @@ def cmd_closed_form(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
     verdict = closed_form(G, budget=_budget(args))
-    payload = {"value": format_ratio(verdict.value), "rule": verdict.rule}
-    lines = [f"q = {format_ratio(verdict.value)} (rule: {verdict.rule})"]
-    if verdict.witness is not None:
-        payload["witness"] = verdict.witness.to_string()
-        lines.append(f"witness = {verdict.witness.to_string()}")
+    witness = verdict.witness.to_string()
+    payload = {"value": format_ratio(verdict.value), "rule": verdict.rule,
+               "witness": witness}
+    lines = [f"q = {format_ratio(verdict.value)} (rule: {verdict.rule})",
+             f"witness = {witness}"]
     return _report(args, "closed-form", G, payload, True, started, lines)
 
 
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-n", type=int, default=None, help="size cap")
+    p.add_argument("--max-n", type=int, default=None, help="size cap, at least 2")
     p.add_argument("--seed", type=int, default=1, help="sampling seed")
     _add_common(p, with_input=False)
     p.set_defaults(func=cmd_verify)

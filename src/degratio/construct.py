@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CertificateError, ParameterError, PreconditionError
-from .formulas import _theorem_classes, two_fifths_family
+from .formulas import _lowbound, _theorem_classes, two_fifths_family
 from .graph import (Graph, components, cut_vertices, cycle, graph_from_edges,
                     is_connected, is_isomorphic, regularity)
 from .ratios import Bipartition, certify
@@ -50,10 +50,9 @@ class DegreeDemands:
     f: tuple[int, ...]
     regime: str
 
-    def validate(self, G: Graph, classes: dict[str, bool] | None = None):
-        """Raise unless the regime's theorem applies to G.  ``classes`` is
-        ``formulas._theorem_classes(G)`` when the caller already has it; it
-        is computed here otherwise, and only for the hou and ma regimes."""
+    def validate(self, G: Graph):
+        """Raise unless the regime's theorem applies to G; the subgraph
+        classes are computed only for the hou and ma regimes."""
         if len(self.f) != G.n:
             raise ParameterError("the demand vector must cover every vertex")
         if any(x < 0 for x in self.f):
@@ -69,7 +68,7 @@ class DegreeDemands:
             bad = [v for v in range(G.n) if slack[v] < 0]
             if bad:
                 raise PreconditionError(f"d(x) >= 2f fails at {bad[0]}")
-            if not (classes or _theorem_classes(G))["k4ev_free"]:
+            if not _theorem_classes(G)["k4ev_free"]:
                 raise PreconditionError("hou regime needs a K4-e+v-subgraph-free graph")
         elif self.regime == "ma":
             if any(x < 2 for x in self.f):
@@ -77,7 +76,7 @@ class DegreeDemands:
             bad = [v for v in range(G.n) if slack[v] < -1]
             if bad:
                 raise PreconditionError(f"d(x) >= 2f-1 fails at {bad[0]}")
-            if not (classes or _theorem_classes(G))["sparse_free"]:
+            if not _theorem_classes(G)["sparse_free"]:
                 raise PreconditionError(
                     "ma regime needs a (C4,K4,diamond)- or (K3,C8,K23)-subgraph-free graph")
         else:
@@ -142,7 +141,8 @@ def degree_constrained_partition(G: Graph, demands: DegreeDemands,
 
 
 def _demand_partition(G: Graph, demands: DegreeDemands, budget: int) -> Bipartition:
-    """:func:`degree_constrained_partition` for demands already validated."""
+    """:func:`degree_constrained_partition` for demands known to meet their
+    regime's conditions."""
     n = G.n
     P = _demand_climb(G, demands.f, Bipartition(tuple(1 + i % 2 for i in range(n))))
     if P is not None:
@@ -180,15 +180,9 @@ def lower_bound_witness(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBoundWit
         demands, value, strict, rule = (
             hou_demands(G), Fraction(1, 2), False, "lowboundC3")
     else:
-        demands = stiebitz_demands(G)
-        even = [G.degree(v) for v in range(G.n) if G.degree(v) % 2 == 0]
-        if even:
-            p = min(even) // 2
-            value = min(Fraction(1, 2), Fraction(p, 2 * p + 1)) if p else Fraction(0)
-        else:
-            value = Fraction(1, 2)
-        strict, rule = False, "lowbound"
-    demands.validate(G, classes)
+        demands, value, strict, rule = (
+            stiebitz_demands(G), _lowbound(G), False, "lowbound")
+    # each regime's demands are built to meet the conditions that chose it
     P = _demand_partition(G, demands, budget)
     quality = certify(G, P, value, ">" if strict else ">=")
     return LowerBoundWitness(value, strict, rule, P, quality)
@@ -208,15 +202,17 @@ class GoodPair:
     case: str = ""
 
 
+def _short(G: Graph, group, threshold: Fraction) -> list[int]:
+    """The members of ``group`` that keep less than ``threshold`` of their
+    closed neighbourhood inside it."""
+    return [v for v in group
+            if Fraction(1 + len(G.adj[v] & group), G.closed_degree(v)) < threshold]
+
+
 def is_good_pair(G: Graph, gp: GoodPair) -> bool:
     if not gp.A or not gp.B or gp.A & gp.B:
         return False
-    for group in (gp.A, gp.B):
-        for v in group:
-            inside = 1 + sum(1 for u in G.adj[v] if u in group)
-            if Fraction(inside, G.closed_degree(v)) < gp.threshold:
-                return False
-    return True
+    return not (_short(G, gp.A, gp.threshold) or _short(G, gp.B, gp.threshold))
 
 
 def _smallest_triangle(G: Graph) -> tuple[int, int, int] | None:
@@ -467,13 +463,11 @@ def extend_good_pair(G: Graph, gp: GoodPair) -> Bipartition:
         if not C:
             P = Bipartition.from_side1(G.n, A)
             break
-        if all(Fraction(1 + sum(1 for u in G.adj[v] if u in C),
-                        G.closed_degree(v)) >= thr for v in C):
+        short = _short(G, C, thr)
+        if not short:
             P = Bipartition.from_side1(G.n, A | B)
             break
-        v = min(v for v in C
-                if Fraction(1 + sum(1 for u in G.adj[v] if u in C),
-                            G.closed_degree(v)) < thr)
+        v = min(short)
         if len(G.adj[v] & A) >= len(G.adj[v] & B):
             A.add(v)
         else:

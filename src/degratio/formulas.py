@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, CertificateError, NoApplicableRule,
                      ParameterError, PreconditionError)
-from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
-                    contains_subgraph, cycle, is_connected, is_isomorphic,
-                    is_tree, regularity, split_side)
+from .graph import (Graph, build_named, cartesian_product, contains_subgraph,
+                    cycle, is_connected, is_isomorphic, is_tree, regularity,
+                    split_side, two_coloring)
 from .ratios import Bipartition, certify, top_edge
 from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 
@@ -23,7 +23,7 @@ from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 class FormulaVerdict:
     value: Fraction
     rule: str
-    witness: Bipartition | None = None
+    witness: Bipartition
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,19 @@ def _theorem_classes(G: Graph) -> dict[str, bool]:
     return {"k4ev_free": k4ev_free, "sparse_free": sparse_free}
 
 
+def _lowbound(G: Graph) -> Fraction:
+    """The ``lowbound`` rule: p/(2p+1) for the smallest even degree 2p of G,
+    and 1/2 when every degree is odd."""
+    even = [d for d in map(len, G.adj) if d % 2 == 0]
+    if not even:
+        return Fraction(1, 2)
+    p = min(even) // 2
+    return Fraction(p, 2 * p + 1)
+
+
 def class_lower_bound(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBound:
     """Best guaranteed lower bound on q(G) among the applicable class rules."""
-    candidates: list[LowerBound] = []
-
-    even_degrees = [G.degree(v) for v in range(G.n) if G.degree(v) % 2 == 0]
-    if even_degrees:
-        p = min(even_degrees) // 2
-        value = min(Fraction(1, 2), Fraction(p, 2 * p + 1)) if p else Fraction(0)
-        candidates.append(LowerBound(value, False, ("lowbound",)))
-    else:
-        candidates.append(LowerBound(Fraction(1, 2), False, ("lowbound",)))
-
+    candidates = [LowerBound(_lowbound(G), False, ("lowbound",))]
     classes = _theorem_classes(G)
     if classes["k4ev_free"]:
         candidates.append(LowerBound(Fraction(1, 2), False, ("lowboundC3",)))
@@ -183,7 +184,7 @@ def cubic_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     if G.n == 4:
         return FormulaVerdict(Fraction(1, 2), "cubic",
                               clique_q(4).witness)
-    if G.n == 6 and bipartition_classes(G) is not None:
+    if G.n == 6 and two_coloring(G) is not None:
         res = solve_q(G, budget=budget)
         return FormulaVerdict(res.q, "cubic", res.optimal_partition)
     cert = find_matching_cut(G, budget=budget)
@@ -211,19 +212,27 @@ def four_regular_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
 def product_kreg_tree_q(G: Graph, H: Graph) -> FormulaVerdict:
     """q(G box H) for G k-regular connected and H a tree, with a fiber-wise
     witness split along a maximizing tree edge."""
-    k = regularity(G)
-    if k is None or not is_connected(G):
+    if regularity(G) is None or not is_connected(G):
         raise PreconditionError("left factor must be connected and regular")
     if not is_tree(H):
         raise PreconditionError("right factor must be a tree")
-    # (d(x) + k)/(d[x] + k) grows with d[x], so H's top edge is the best split
-    (u, v), top = top_edge(H)
-    value = Fraction(top - 1 + k, top + k)
     P = cartesian_product(G, H)
-    h_part = Bipartition.from_side1(H.n, split_side(H, u, v))
-    witness = lift_partition(P, h_part, "right")
-    certify(P, witness, value, "==")
-    return FormulaVerdict(value, "prodkregtree", witness)
+    verdict = _product_kreg_tree(P, "right")
+    certify(P, verdict.witness, verdict.value, "==")
+    return verdict
+
+
+def _product_kreg_tree(P: Graph, which: str) -> FormulaVerdict:
+    """:func:`product_kreg_tree_q` on a product P whose ``which`` factor is
+    a tree and whose other factor is connected and k-regular."""
+    T, R = P.factors if which == "left" else P.factors[::-1]
+    k = regularity(R)
+    # (d(x) + k)/(d[x] + k) grows with d[x], so the tree's top edge is the
+    # best split
+    (u, v), top = top_edge(T)
+    t_part = Bipartition.from_side1(T.n, split_side(T, u, v))
+    return FormulaVerdict(Fraction(top - 1 + k, top + k), "prodkregtree",
+                          lift_partition(P, t_part, which))
 
 
 def product_cubic_q(G: Graph, H: Graph,
@@ -234,23 +243,27 @@ def product_cubic_q(G: Graph, H: Graph,
         if regularity(F) != 3 or not is_connected(F):
             raise PreconditionError("both factors must be connected cubic graphs")
     P = cartesian_product(G, H)
+    verdict = _product_cubic(P, budget)
+    certify(P, verdict.witness, verdict.value, "==")
+    return verdict
+
+
+def _product_cubic(P: Graph, budget: int) -> FormulaVerdict:
+    """:func:`product_cubic_q` on a product P of connected cubic factors."""
+    G, H = P.factors
     # K4 or K33, recognized as in cubic_q
-    special = lambda F: F.n == 4 or (F.n == 6 and bipartition_classes(F) is not None)
+    special = lambda F: F.n == 4 or (F.n == 6 and two_coloring(F) is not None)
     if special(G) and special(H):
         # two adjacent left-factor fibers against the rest
         a = 0
         b = min(G.adj[a])
         side1 = {g * H.n + h for g in (a, b) for h in range(H.n)}
-        witness = Bipartition.from_side1(P.n, side1)
-        value = Fraction(5, 7)
-    else:
-        cert = find_matching_cut(P, budget=budget)
-        if not cert.has_cut:
-            raise CertificateError("cubic product dichotomy violated: no matching-cut")
-        witness = cert.partition
-        value = Fraction(6, 7)
-    certify(P, witness, value, "==")
-    return FormulaVerdict(value, "prodcub", witness)
+        return FormulaVerdict(Fraction(5, 7), "prodcub",
+                              Bipartition.from_side1(P.n, side1))
+    cert = find_matching_cut(P, budget=budget)
+    if not cert.has_cut:
+        raise CertificateError("cubic product dichotomy violated: no matching-cut")
+    return FormulaVerdict(Fraction(6, 7), "prodcub", cert.partition)
 
 
 def closed_form(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
@@ -282,18 +295,11 @@ def _first_rule(G: Graph, budget: int) -> FormulaVerdict:
     if G.factors is not None:
         Gf, Hf = G.factors
         if regularity(Gf) == 3 and regularity(Hf) == 3:
-            return product_cubic_q(Gf, Hf, budget=budget)
+            return _product_cubic(G, budget)
         if regularity(Gf) is not None and is_tree(Hf):
-            return product_kreg_tree_q(Gf, Hf)
+            return _product_kreg_tree(G, "right")
         if regularity(Hf) is not None and is_tree(Gf):
-            # the product is commutative up to relabeling; normalize
-            v = product_kreg_tree_q(Hf, Gf)
-            mapping = {g * Gf.n + h: h * Hf.n + g
-                       for g in range(Hf.n) for h in range(Gf.n)}
-            sides = [0] * G.n
-            for old, new in mapping.items():
-                sides[new] = v.witness.sides[old]
-            return FormulaVerdict(v.value, v.rule, Bipartition(tuple(sides)))
+            return _product_kreg_tree(G, "left")
     if regularity(G) == 3:
         return cubic_q(G, budget=budget)
     if regularity(G) == 4:

@@ -1,13 +1,15 @@
 """Simple undirected graphs: representation, named constructions, cartesian
-products with fiber provenance, induced-pattern detection, and one low-link
-pass that finds bridges, cut vertices and components.
+products with fiber provenance, induced-pattern detection, one low-link
+pass that finds bridges, cut vertices and components, and one
+two-colouring.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
 construction.  Adjacency is checked once, where it enters: a direct
-``Graph(n, adj)`` checks that it is symmetric, loop-free and in range, and
-``graph_from_edges`` and ``parse_graph`` check each edge as they read it.
-They, ``complement``, ``cartesian_product`` and ``relabel`` then build
-through ``_trusted``, which skips ``Graph``'s O(m) walk.
+``Graph(n, adj)`` stores its rows as frozensets and checks that they are
+symmetric, loop-free and in range, and ``graph_from_edges`` and
+``parse_graph`` check each edge as they read it.  They, ``complement``,
+``cartesian_product`` and ``relabel`` then build through ``_trusted``,
+which skips ``Graph``'s O(m) walk.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"graphs must have at least 2 vertices, got n={self.n}")
+        # rows become frozensets, so a repeated neighbour counts once
+        object.__setattr__(self, "adj", tuple(map(frozenset, self.adj)))
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ParameterError("adjacency length does not match vertex count")
@@ -227,24 +231,41 @@ def regularity(G: Graph) -> int | None:
     return degs.pop() if len(degs) == 1 else None
 
 
-def bipartition_classes(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two color classes when G is bipartite, else None."""
+def two_coloring(G: Graph, mate: list[int] | None = None) -> list[int] | None:
+    """Colours 0/1 in which an edge changes colour exactly when it crosses,
+    the lowest vertex of each component coloured 0; None when there are
+    none.  Every edge crosses when ``mate`` is None, so the colouring is a
+    proper 2-colouring; otherwise only the edges v-mate[v] cross, mate[v]
+    being -1 at a vertex that no crossing edge meets."""
+    adj = G.adj
     color = [-1] * G.n
+    cross = mate is None
     for s in range(G.n):
-        if color[s] != -1:
+        if color[s] >= 0:
             continue
         color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for u in G.adj[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            other = color[v] ^ cross  # a neighbour's colour, except at v's mate
+            m = -1 if cross else mate[v]
+            for u in adj[v]:
+                want = other ^ 1 if u == m else other
+                if color[u] < 0:
+                    color[u] = want
+                    stack.append(u)
+                elif color[u] != want:
                     return None
-    return (frozenset(v for v in range(G.n) if color[v] == 0),
-            frozenset(v for v in range(G.n) if color[v] == 1))
+    return color
+
+
+def bipartition_classes(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Two color classes when G is bipartite, else None."""
+    color = two_coloring(G)
+    if color is None:
+        return None
+    return (frozenset(v for v, c in enumerate(color) if c == 0),
+            frozenset(v for v, c in enumerate(color) if c == 1))
 
 
 # -- complement and products ------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError
 from .graph import (Graph, bipartition_classes, cartesian_product, complete,
-                    graph_from_edges, is_connected, regularity)
+                    graph_from_edges, is_connected, regularity, two_coloring)
 from .ratios import is_matching
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut
 
@@ -82,7 +82,7 @@ def cover_plus_matching(G: Graph, strict: bool = False) -> GadgetInstance:
     vertex; lifts a (k-1)-regular bipartite source to a k-regular bipartite
     gadget with the same matching-cut verdict."""
     k = regularity(G)
-    if k is None or not is_connected(G) or bipartition_classes(G) is None:
+    if k is None or not is_connected(G) or two_coloring(G) is None:
         raise PreconditionError(
             "cover-plus-matching needs a connected regular bipartite source")
     if strict and k < 4:
@@ -99,10 +99,10 @@ def twin_expand_then_K2(G: Graph, strict: bool = False) -> GadgetInstance:
     """Attach a degree-1 twin to every vertex, then take the product with an
     edge; the source has a matching-cut iff the gadget's ratio reaches
     (D+1)/(D+2) where D is the twin-expanded maximum degree."""
-    if not is_connected(G) or bipartition_classes(G) is None:
+    classes = bipartition_classes(G)
+    if not is_connected(G) or classes is None:
         raise PreconditionError("twin expansion needs a connected bipartite source")
     if strict:
-        classes = bipartition_classes(G)
         side_degrees = [sorted({G.degree(v) for v in side}) for side in classes]
         if sorted(map(tuple, side_degrees)) != [(3,), (4,)]:
             raise PreconditionError("hardness claim needs a (3,4)-biregular source")
@@ -123,7 +123,7 @@ def product_with_fixed(G: Graph, H: Graph, strict: bool = False,
     """Product with a fixed regular matching-cut-free graph H; the source
     has a matching-cut iff the product's ratio reaches (k+k')/(k+k'+1)."""
     k = regularity(G)
-    if k is None or bipartition_classes(G) is None or not is_connected(G):
+    if k is None or two_coloring(G) is None or not is_connected(G):
         raise PreconditionError(
             "product reduction needs a connected regular bipartite source")
     if strict and k < 4:
@@ -148,47 +148,13 @@ def is_matching_cut_set(G: Graph, cut) -> bool:
         return False
     if not is_matching(G, cut):
         return False
-    # components of G minus the cut, by union-find over the kept edges
-    removed = set(cut)
-    parent = list(range(G.n))
-    for x, nbrs in enumerate(G.adj):
-        for y in nbrs:
-            if x < y and (x, y) not in removed:
-                u, v = x, y
-                while parent[u] != u:
-                    parent[u] = u = parent[parent[u]]  # path halving
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                parent[v] = u
-    comp_of = []
-    for v in range(G.n):
-        while parent[v] != v:
-            v = parent[v]
-        comp_of.append(v)
-    # every cut edge must join distinct components, and the component graph
-    # on cut edges must be two-colorable with each cut edge crossing
-    color: dict[int, int] = {}
-    meta: dict[int, list[int]] = {}
+    # the crossing set is exactly the cut iff some 0/1 colouring changes
+    # colour across the cut edges and nowhere else
+    mate = [-1] * G.n
     for u, v in cut:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu == cv:
-            return False
-        meta.setdefault(cu, []).append(cv)
-        meta.setdefault(cv, []).append(cu)
-    for root in meta:
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in meta[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+        mate[u] = v
+        mate[v] = u
+    return two_coloring(G, mate) is not None
 
 
 def _mapped_cut(cut) -> list[tuple[int, int]]:

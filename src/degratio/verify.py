@@ -16,7 +16,7 @@ from fractions import Fraction
 from .catalog import base_catalog, cubic_catalog, product_pairs, \
     random_connected_graph
 from .construct import extend_good_pair, find_good_pair, lower_bound_witness
-from .errors import PreconditionError
+from .errors import ParameterError, PreconditionError
 from .formulas import (class_lower_bound, cubic_q, edge_upper_bound,
                        four_regular_q, tree_q, two_fifths_family)
 from .graph import (build_named, complete, cut_vertices, cycle,
@@ -49,8 +49,8 @@ def _result(suite, prop, G, passed, detail=""):
 def _graphs(max_n: int, seed: int, samples: int = 10):
     pool = [G for G in base_catalog() if G.n <= max_n]
     rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.randint(3, max(3, min(max_n, 8)))
+    for _ in range(samples if max_n >= 3 else 0):  # no sample exceeds the cap
+        n = rng.randint(3, min(max_n, 8))
         pool.append(random_connected_graph(rng, n, p=rng.uniform(0.3, 0.8)))
     return pool
 
@@ -192,5 +192,7 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 1,
         raise PreconditionError(f"unknown suite {name!r}; pick one of {tuple(funcs)}")
     kwargs = {"seed": seed, "budget": budget}
     if max_n is not None:
+        if max_n < 2:
+            raise ParameterError(f"max_n must be at least 2, got {max_n}")
         kwargs["max_n"] = max_n
     return funcs[name](**kwargs)

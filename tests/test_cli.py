@@ -13,9 +13,9 @@ import degratio
 from conftest import witness_set
 from degratio import solver
 from degratio.cli import SUITES, main
-from degratio.errors import PreconditionError
+from degratio.errors import ParameterError, PreconditionError
 from degratio.graph import emit_graph, parse_graph, cycle
-from degratio.verify import run_suite
+from degratio.verify import _graphs, run_suite
 
 
 def run(capsys, *argv):
@@ -173,6 +173,35 @@ def test_generate_precondition_exit(capsys):
 def test_verify_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "reductions")
     assert code == 0 and "properties passed" in out
+
+
+def test_verify_every_suite_passes_at_its_default_cap(capsys):
+    total = 0
+    for suite in SUITES:
+        code, out, _ = run(capsys, "verify", suite, "--json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["failed"] == 0, suite
+        total += len(result["results"])
+    assert total == 199
+
+
+def test_verify_refuses_a_cap_below_two(capsys):
+    for cap in ("-5", "0", "1"):
+        code, _, err = run(capsys, "verify", "bounds", "--max-n", cap)
+        assert code == 1 and "max_n" in err
+    with pytest.raises(ParameterError):
+        run_suite("products", max_n=1)
+
+
+def test_verify_samples_stay_under_the_cap():
+    assert [G.n for G in _graphs(2, 1)] == [2]  # K2 from the catalog, no sample
+    for cap in range(2, 10):
+        assert all(G.n <= cap for G in _graphs(cap, 1))
+    # the draws above a cap of 2 are unchanged: the last ten graphs are the
+    # ten random samples
+    sampled = _graphs(5, 1)[-10:]
+    assert [G.n for G in sampled] == [3, 4, 3, 3, 4, 5, 5, 5, 3, 5]
+    assert [G.num_edges for G in sampled] == [2, 4, 2, 3, 3, 5, 6, 4, 3, 6]
 
 
 def test_verify_lists_every_suite(capsys):

@@ -168,6 +168,20 @@ def test_class_lower_bound_values():
     assert lb.value == Fraction(1, 2) and lb.strict and "prodmax" in lb.rules
 
 
+def test_lowbound_rule_reads_the_smallest_even_degree():
+    # p/(2p+1) for the smallest even degree 2p, 1/2 when every degree is
+    # odd; each graph here contains a K4-e+v, so only this rule applies
+    from degratio.construct import lower_bound_witness
+    K5_and_a_vertex = graph_from_edges(6, complete(5).edges())
+    for G, value in [(complete(6), Fraction(1, 2)), (complete(8), Fraction(1, 2)),
+                     (complete(7), Fraction(3, 7)), (K5_and_a_vertex, Fraction(0))]:
+        lb = class_lower_bound(G)
+        assert (lb.value, lb.strict, lb.rules) == (value, False, ("lowbound",)), G
+        if value:
+            w = lower_bound_witness(G)
+            assert (w.value, w.rule) == (value, "lowbound"), G
+
+
 def _pattern_search_classes(G):
     """The theorem classes by seven subgraph searches, as decided before the
     common-neighbour counts: the reference for ``_theorem_classes``."""
@@ -355,6 +369,24 @@ def test_recognition_builds_no_graph(monkeypatch):
     # recognize them too
     assert cubic_q(K4).value == Fraction(1, 2)
     assert four_regular_q(K5).value == Fraction(2, 5)
+
+
+def test_product_closed_forms_read_the_given_product(monkeypatch):
+    # closed_form reads a product's factors and builds no second copy of it,
+    # also when the tree is the left factor
+    graphs = [build_named(f"prod:{name}") for name in ("K4,K4", "K4,P3", "P3,K4", "K2,K3")]
+    built = []
+    product = graph_module.cartesian_product
+    spy = lambda G, H: built.append((G, H)) or product(G, H)
+    monkeypatch.setattr(graph_module, "cartesian_product", spy)
+    monkeypatch.setattr(formulas, "cartesian_product", spy)
+    rules = []
+    for P in graphs:
+        verdict = closed_form(P)
+        assert verdict.value == solve_q(P).q, P
+        rules.append(verdict.rule)
+    assert built == []
+    assert rules == ["prodcub", "prodkregtree", "prodkregtree", "prodkregtree"]
 
 
 def test_parameter_validation():

@@ -196,8 +196,8 @@ def test_extend_rejects_non_good_pair():
 
 @pytest.mark.parametrize("name, rule", [("petersen", "lowboundC4free"), ("K4", "lowboundC3")])
 def test_lower_bound_witness_checks_the_classes_once(name, rule, monkeypatch):
-    # the ma and hou regimes both need the theorem classes, once to choose
-    # the regime and once to validate its demands
+    # the ma and hou regimes both need the theorem classes to choose the
+    # regime; they are computed once
     calls = []
     classes = construct._theorem_classes
     monkeypatch.setattr(construct, "_theorem_classes", lambda G: calls.append(G) or classes(G))
@@ -214,3 +214,21 @@ def test_lower_bound_witness_certifies_a_strict_bound(monkeypatch):
     monkeypatch.setattr(construct, "_demand_partition", lambda G, demands, budget: P)
     with pytest.raises(CertificateError):
         lower_bound_witness(G)
+
+
+def test_lower_bound_witness_picks_valid_demands(monkeypatch):
+    # lower_bound_witness builds each regime's demands from the conditions
+    # that chose the regime and does not validate them at run time; here
+    # every demand vector it hands on passes validate
+    picked = []
+    search = construct._demand_partition
+    monkeypatch.setattr(construct, "_demand_partition",
+                        lambda G, demands, budget: picked.append((G, demands))
+                        or search(G, demands, budget))
+    graphs = [G for G in base_catalog() if is_connected(G)] + list(witness_set())
+    for G in graphs:
+        lower_bound_witness(G)
+    assert [G for G, _ in picked] == graphs
+    for G, demands in picked:
+        demands.validate(G)
+    assert {demands.regime for _, demands in picked} == {"stiebitz", "hou", "ma"}

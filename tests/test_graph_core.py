@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,10 @@ from degratio.graph import (Graph, bipartition_classes, build_named,
                             cut_vertices, cycle, emit_graph, fiber,
                             graph_from_edges, is_connected, is_isomorphic,
                             is_pattern_free, is_tree, k_triangle, low_link,
-                            parse_graph, path, regularity)
+                            parse_graph, path, regularity, two_coloring)
 from degratio.ratios import Bipartition, partition_quality
 from degratio.reductions import cover_plus_matching, verify_equivalence
+from degratio.solver import solve_q
 
 
 def test_named_builders_basic_counts():
@@ -90,6 +92,19 @@ def test_direct_construction_checks_adjacency():
     for n, adj in bad:
         with pytest.raises(ParameterError):
             Graph(n, adj)
+
+
+def test_direct_construction_stores_frozen_rows():
+    # rows of another type become frozensets: a repeated neighbour counts
+    # once, and the search's twin test can key a dictionary by a row;
+    # frozenset rows are kept as they are
+    G = Graph(4, ([1, 1], [0, 0], [3], [2]))
+    assert G.num_edges == 2 and G == graph_from_edges(4, [(0, 1), (2, 3)])
+    assert all(type(row) is frozenset for row in G.adj)
+    triangle = Graph(3, ([1, 2], [0, 2], [0, 1]))
+    assert solve_q(triangle).q == Fraction(1, 3)
+    K4 = complete(4)
+    assert all(a is b for a, b in zip(Graph(4, K4.adj).adj, K4.adj))
 
 
 def test_builders_skip_the_adjacency_walk(monkeypatch):
@@ -167,6 +182,46 @@ def _mixed_graphs(rng):
             edges += [(u, v) for u in range(k, n) for v in range(u + 1, n)
                       if rng.random() < 0.4]
             yield graph_from_edges(n, edges)
+
+
+def _brute_colorings(G, mate):
+    """Every 0/1 colouring, by enumeration, in which exactly the edges
+    v-mate[v] (every edge when mate is None) change colour and the lowest
+    vertex of each component has colour 0."""
+    lowest = [min(comp) for comp in components(G)]
+    edges = G.edges()
+    found = []
+    for mask in range(1 << G.n):
+        if any(mask >> v & 1 for v in lowest):
+            continue
+        if all((mask >> u ^ mask >> v) & 1 == (mate is None or mate[u] == v)
+               for u, v in edges):
+            found.append([mask >> v & 1 for v in range(G.n)])
+    return found
+
+
+def test_two_coloring_matches_brute_force():
+    rng = random.Random(8)
+    for G in _mixed_graphs(random.Random(7)):
+        expected = _brute_colorings(G, None)
+        assert len(expected) <= 1
+        assert two_coloring(G) == (expected[0] if expected else None), G.edges()
+        classes = bipartition_classes(G)
+        if expected:
+            color = expected[0]
+            assert classes == tuple(frozenset(v for v in range(G.n) if color[v] == c)
+                                    for c in (0, 1))
+        else:
+            assert classes is None
+        # a random matching of G as the crossing edges
+        mate = [-1] * G.n
+        for u, v in rng.sample(G.edges(), len(G.edges())):
+            if mate[u] < 0 and mate[v] < 0 and rng.random() < 0.5:
+                mate[u], mate[v] = v, u
+        expected = _brute_colorings(G, mate)
+        assert len(expected) <= 1
+        assert two_coloring(G, mate) == (expected[0] if expected else None), \
+            (G.edges(), mate)
 
 
 def test_is_connected_agrees_with_components():

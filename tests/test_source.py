@@ -85,7 +85,7 @@ def test_hot_loops_hold_no_comprehension():
     # kernels and the product construction 1.5-2.5x slower than plain loops.
     # A comprehension inside another one runs once per outer item, too.
     hot = {"_search", "min_ratio", "partition_quality", "cartesian_product",
-           "is_connected", "_twin_before"}
+           "is_connected", "_twin_before", "two_coloring"}
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found, seen = set(), set()
     for name, node in _library_nodes():
