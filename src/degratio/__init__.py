@@ -19,8 +19,8 @@ from .errors import (BudgetExceededError, CertificateError, DegratioError,
 from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
                     complement, complete, complete_bipartite, cut_vertices,
                     cycle, emit_graph, fiber, graph_from_edges, is_connected,
-                    is_isomorphic, is_pattern_free, is_tree, k_triangle,
-                    parse_graph, path, regularity)
+                    is_isomorphic, is_tree, k_triangle, parse_graph, path,
+                    regularity)
 from .ratios import (Bipartition, MatchingCutCertificate, QualityReport,
                      crossing_edges, format_ratio, is_matching, parse_ratio,
                      partition_quality, vertex_ratio)

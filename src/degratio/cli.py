@@ -84,13 +84,13 @@ def _graph_summary(G: Graph) -> dict:
 
 
 def _report(args, command: str, G: Graph | None, payload: dict,
-            exact: bool, started: float, lines: list[str]) -> int:
+            started: float, lines: list[str]) -> int:
     if args.json:
         doc = {
             "command": command,
             "graph": _graph_summary(G) if G is not None else None,
             "result": payload,
-            "exact": exact,
+            "exact": True,
             "wall_time": round(time.monotonic() - started, 6),
         }
         print(json.dumps(doc, indent=2))
@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
     part = res.optimal_partition.to_string()
     payload = {"q": format_ratio(res.q), "partition": part,
                "explored": res.explored, "method": res.method}
-    return _report(args, "solve", G, payload, True, started,
+    return _report(args, "solve", G, payload, started,
                    [f"q = {format_ratio(res.q)}", f"partition = {part}"])
 
 
@@ -121,7 +121,7 @@ def cmd_decide(args) -> int:
     if res:
         payload["witness"] = res.witness.to_string()
         lines.append(f"witness = {res.witness.to_string()}")
-    return _report(args, "decide", G, payload, True, started, lines)
+    return _report(args, "decide", G, payload, started, lines)
 
 
 def cmd_closed_form(args) -> int:
@@ -134,7 +134,7 @@ def cmd_closed_form(args) -> int:
                "witness": witness}
     lines = [f"q = {format_ratio(verdict.value)} (rule: {verdict.rule})",
              f"witness = {witness}"]
-    return _report(args, "closed-form", G, payload, True, started, lines)
+    return _report(args, "closed-form", G, payload, started, lines)
 
 
 def cmd_matching_cut(args) -> int:
@@ -148,7 +148,7 @@ def cmd_matching_cut(args) -> int:
         payload["crossing"] = [list(e) for e in cert.crossing]
         lines.append(f"partition = {cert.partition.to_string()}")
         lines.append("crossing = " + " ".join(f"{u}-{v}" for u, v in cert.crossing))
-    return _report(args, "matching-cut", G, payload, True, started, lines)
+    return _report(args, "matching-cut", G, payload, started, lines)
 
 
 def cmd_bound(args) -> int:
@@ -182,7 +182,7 @@ def cmd_bound(args) -> int:
     payload.update(lower=format_ratio(lower), strict=strict)
     lines.insert(0, f"{format_ratio(lower)} {'<' if strict else '<='} q(G) "
                     f"<= {format_ratio(ub)}")
-    return _report(args, "bound", G, payload, True, started, lines)
+    return _report(args, "bound", G, payload, started, lines)
 
 
 # construction name -> the function of ``reductions`` that builds it
@@ -228,7 +228,7 @@ def cmd_generate(args) -> int:
     else:
         lines = [text.rstrip("\n"), json.dumps(sidecar)]
     payload = {"graph": text, "sidecar": sidecar}
-    return _report(args, "generate", inst.graph, payload, True, started, lines)
+    return _report(args, "generate", inst.graph, payload, started, lines)
 
 
 def cmd_verify(args) -> int:
@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
     payload = {"suite": args.suite,
                "results": [asdict(r) for r in results],
                "failed": len(failed)}
-    _report(args, "verify", None, payload, True, started, lines)
+    _report(args, "verify", None, payload, started, lines)
     return EXIT_FALSIFIED if failed else EXIT_OK
 
 

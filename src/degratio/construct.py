@@ -17,9 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CertificateError, ParameterError, PreconditionError
-from .formulas import _lowbound, _theorem_classes, two_fifths_family
-from .graph import (Graph, components, cut_vertices, cycle, graph_from_edges,
-                    is_connected, is_isomorphic, regularity)
+from .formulas import (_lowbound, _theorem_classes, characterize_third,
+                       characterize_two_fifths)
+from .graph import (Graph, components, cut_vertices, graph_from_edges,
+                    is_connected, regularity)
 from .ratios import Bipartition, certify
 from .solver import DEFAULT_BUDGET, _search, solve_q
 
@@ -227,45 +228,34 @@ def _smallest_triangle(G: Graph) -> tuple[int, int, int] | None:
 
 
 def _cycle_within(G: Graph, allowed: frozenset[int]) -> list[int] | None:
-    """Vertex list of some cycle of the subgraph induced by ``allowed``."""
-    seen: set[int] = set()
-    parent: dict[int, int] = {}
-    for root in sorted(allowed):
-        if root in seen:
-            continue
-        seen.add(root)
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in sorted(G.adj[v]):
-                if u not in allowed:
-                    continue
-                if u not in seen:
-                    seen.add(u)
-                    parent[u] = v
-                    stack.append(u)
-                elif parent[v] != u and parent.get(u) is not None:
-                    # walk both ancestor chains to their meeting point
-                    anc_v = []
-                    x = v
-                    while x != -1:
-                        anc_v.append(x)
-                        x = parent[x]
-                    chain = []
-                    x = u
-                    while x not in anc_v:
-                        chain.append(x)
-                        x = parent[x]
-                    meet = x
-                    cyc = chain + [meet]
-                    x = v
-                    while x != meet:
-                        cyc.append(x)
-                        x = parent[x]
-                    if len(cyc) >= 3:
-                        return cyc
-    return None
+    """Vertex list of some cycle of the subgraph induced by ``allowed``, or
+    None when that subgraph is a forest.
+
+    Peeling vertices with at most one neighbour left leaves the 2-core,
+    which is empty exactly on a forest.  Every core vertex has two core
+    neighbours, so a walk through the core that never steps straight back
+    closes a cycle of at least 3 vertices at its first repeat."""
+    core = set(allowed)
+    deg = {v: len(G.adj[v] & core) for v in core}
+    leaves = [v for v, d in deg.items() if d <= 1]
+    while leaves:
+        v = leaves.pop()
+        core.discard(v)
+        for u in G.adj[v]:
+            if u in core:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    leaves.append(u)
+    if not core:
+        return None
+    prev, v = -1, min(core)
+    walk: list[int] = []
+    at: dict[int, int] = {}  # vertex -> its position on the walk
+    while v not in at:
+        at[v] = len(walk)
+        walk.append(v)
+        prev, v = v, next(u for u in G.adj[v] if u in core and u != prev)
+    return walk[at[v]:]
 
 
 def _tree_path(G: Graph, comp: frozenset[int], u: int, v: int) -> list[int]:
@@ -416,8 +406,7 @@ def find_good_pair(G: Graph, threshold: Fraction = Fraction(3, 7),
             raise PreconditionError("3/7 good pairs proven only for max degree <= 6")
         if cut_vertices(G):
             raise PreconditionError("good pair search assumes a biconnected graph")
-        excluded = two_fifths_family() + (cycle(3),)
-        if any(is_isomorphic(G, F) for F in excluded):
+        if characterize_third(G) or characterize_two_fifths(G):
             raise PreconditionError("graph is one of the excluded 2/5-value graphs")
     elif threshold == Fraction(3, 5):
         if regularity(G) != 4 or not is_connected(G):

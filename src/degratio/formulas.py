@@ -94,7 +94,7 @@ def _theorem_classes(G: Graph) -> dict[str, bool]:
                     if x in nu:  # a K4-e+v
                         return {"k4ev_free": False, "sparse_free": False}
                     k23 = True
-    k4ev_free = not (G.n == 3 and G.num_edges == 3)  # C3
+    k4ev_free = not characterize_third(G)
     sparse_free = (not c4 or not (triangle or k23
                                   or contains_subgraph(G, cycle(8))))
     return {"k4ev_free": k4ev_free, "sparse_free": sparse_free}
@@ -174,19 +174,23 @@ def clique_q(n: int) -> FormulaVerdict:
     return FormulaVerdict(value, "clique", witness)
 
 
+def _k4_or_k33(G: Graph) -> bool:
+    """Whether a connected cubic graph is K4 or K33: K4 is the only cubic
+    graph on 4 vertices, and K33 the bipartite one on 6 (the other one, the
+    prism, has triangles)."""
+    return G.n == 4 or (G.n == 6 and two_coloring(G) is not None)
+
+
 def cubic_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     """Connected cubic graphs: 1/2 for K4 and K33, 3/4 with a matching-cut
     witness otherwise."""
     if regularity(G) != 3 or not is_connected(G):
         raise PreconditionError("cubic formula needs a connected 3-regular graph")
-    # K4 is the only cubic graph on 4 vertices, and K33 the bipartite one on
-    # 6 (the other one, the prism, has triangles)
-    if G.n == 4:
-        return FormulaVerdict(Fraction(1, 2), "cubic",
-                              clique_q(4).witness)
-    if G.n == 6 and two_coloring(G) is not None:
-        res = solve_q(G, budget=budget)
-        return FormulaVerdict(res.q, "cubic", res.optimal_partition)
+    if _k4_or_k33(G):
+        # an edge against the rest: every vertex keeps at least 2 of its
+        # closed neighbourhood of 4, and the edge's ends exactly 2
+        witness = Bipartition.from_side1(G.n, {0, min(G.adj[0])})
+        return FormulaVerdict(Fraction(1, 2), "cubic", witness)
     cert = find_matching_cut(G, budget=budget)
     if not cert.has_cut:
         raise CertificateError("cubic graph other than K4/K33 without matching-cut")
@@ -251,9 +255,7 @@ def product_cubic_q(G: Graph, H: Graph,
 def _product_cubic(P: Graph, budget: int) -> FormulaVerdict:
     """:func:`product_cubic_q` on a product P of connected cubic factors."""
     G, H = P.factors
-    # K4 or K33, recognized as in cubic_q
-    special = lambda F: F.n == 4 or (F.n == 6 and two_coloring(F) is not None)
-    if special(G) and special(H):
+    if _k4_or_k33(G) and _k4_or_k33(H):
         # two adjacent left-factor fibers against the rest
         a = 0
         b = min(G.adj[a])
@@ -311,8 +313,8 @@ def _first_rule(G: Graph, budget: int) -> FormulaVerdict:
 
 
 def characterize_third(G: Graph) -> bool:
-    """q(G) = 1/3 holds exactly for the triangle."""
-    return is_isomorphic(G, cycle(3))
+    """q(G) = 1/3 exactly for the triangle: 3 vertices and 3 edges."""
+    return G.n == 3 and G.num_edges == 3
 
 
 def characterize_two_fifths(G: Graph) -> bool:

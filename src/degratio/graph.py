@@ -1,7 +1,6 @@
 """Simple undirected graphs: representation, named constructions, cartesian
-products with fiber provenance, induced-pattern detection, one low-link
-pass that finds bridges, cut vertices and components, and one
-two-colouring.
+products with fiber provenance, subgraph detection, one low-link pass that
+finds bridges, cut vertices and components, and one two-colouring.
 
 Vertices are dense integer labels 0..n-1.  Graph values are immutable after
 construction.  Adjacency is checked once, where it enters: a direct
@@ -280,11 +279,6 @@ def complement(G: Graph) -> Graph:
     return _trusted(G.n, adj, name)
 
 
-def disjoint_union(G: Graph, H: Graph, name: str | None = None) -> Graph:
-    edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
-    return graph_from_edges(G.n + H.n, edges, name=name)
-
-
 def cartesian_product(G: Graph, H: Graph) -> Graph:
     """Cartesian product G box H with factor provenance retained.
 
@@ -375,19 +369,18 @@ def claw() -> Graph:
 
 
 def diamond() -> Graph:
-    # K_4 minus one edge; the missing edge is 2-3
-    return graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], name="diamond")
+    """K_4 minus the edge 2-3, which is T_2."""
+    return k_triangle(2).relabel("diamond")
 
 
 def k4_minus_e_plus_v() -> Graph:
-    """Diamond plus a vertex adjacent to its two degree-3 vertices."""
-    return graph_from_edges(
-        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)], name="K4ev")
+    """Diamond plus a vertex adjacent to its two degree-3 vertices: T_3."""
+    return k_triangle(3).relabel("K4ev")
 
 
 def co_k2_claw() -> Graph:
     """Complement of the disjoint union K_2 + claw, on 6 vertices."""
-    union = disjoint_union(complete(2), claw())
+    union = graph_from_edges(6, [(0, 1), (2, 3), (2, 4), (2, 5)])
     return complement(union).relabel("coK2claw")
 
 
@@ -509,8 +502,10 @@ def build_named(name: str) -> Graph:
 # -- pattern detection ------------------------------------------------------
 
 
-def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
-    """Backtracking search for an (induced) embedding of pattern into G."""
+def contains_subgraph(G: Graph, pattern: Graph) -> bool:
+    """True iff pattern embeds into G as a (not necessarily induced)
+    subgraph: some injective map of its vertices sends edges to edges.
+    Backtracking over the pattern's vertices."""
     k = pattern.n
     if k > G.n:
         return False
@@ -527,11 +522,9 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
         order.append(v)
         remaining.discard(v)
     # per position: the earlier positions whose images must be adjacent to
-    # this one's, and (induced only) those whose images must not be
+    # this one's
     linked = [[j for j in range(i) if order[j] in pattern.adj[order[i]]]
               for i in range(k)]
-    apart = [[j for j in range(i) if order[j] not in pattern.adj[order[i]]]
-             if induced else [] for i in range(k)]
     image = [0] * k
     used = [False] * G.n
 
@@ -546,8 +539,7 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
             if used[gv] or gdeg[gv] < need:
                 continue
             nbrs = G.adj[gv]
-            if (all(image[j] in nbrs for j in near)
-                    and not any(image[j] in nbrs for j in apart[i])):
+            if all(image[j] in nbrs for j in near):
                 image[i] = gv
                 used[gv] = True
                 if extend(i + 1):
@@ -561,39 +553,17 @@ def _embedding_exists(pattern: Graph, G: Graph, induced: bool) -> bool:
         del extend  # it refers to itself through its cell; free it now
 
 
-def contains_induced(G: Graph, pattern: Graph) -> bool:
-    """True iff some induced subgraph of G is isomorphic to pattern."""
-    return _embedding_exists(pattern, G, induced=True)
-
-
-def contains_subgraph(G: Graph, pattern: Graph) -> bool:
-    """True iff pattern embeds into G as a (not necessarily induced) subgraph."""
-    return _embedding_exists(pattern, G, induced=False)
-
-
-def is_pattern_free(G: Graph, patterns) -> bool:
-    """True iff no induced subgraph of G is isomorphic to any listed pattern.
-
-    Patterns may be graphs or named-graph ids.  Patterns must have at most 8
-    vertices; this is a fixed-size test, not a general isomorphism engine.
-    """
-    for p in patterns:
-        if isinstance(p, str):
-            p = build_named(p)
-        if p.n > 8:
-            raise ParameterError(f"pattern {p!r} exceeds the 8-vertex limit")
-        if contains_induced(G, p):
-            return False
-    return True
-
-
 def is_isomorphic(G: Graph, H: Graph) -> bool:
-    """Isomorphism test for small graphs: degree prefilter plus backtracking."""
+    """Isomorphism test for small graphs: a degree prefilter, then one
+    subgraph search.  With equal vertex and edge counts the search is
+    exact: an injective map of G's vertices into H's that sends edges to
+    edges is onto H's vertices, and maps G's edges one-to-one into H's
+    equally many edges, so onto those too."""
     if G.n != H.n or G.num_edges != H.num_edges:
         return False
     if sorted(len(s) for s in G.adj) != sorted(len(s) for s in H.adj):
         return False
-    return _embedding_exists(G, H, induced=True)
+    return contains_subgraph(H, G)
 
 
 # -- text format ------------------------------------------------------------

@@ -197,6 +197,8 @@ def is_matching(G: Graph, edges) -> bool:
     """True iff the given edges of G are pairwise vertex-disjoint."""
     seen: set[int] = set()
     for u, v in edges:
+        if not (0 <= u < G.n and 0 <= v < G.n):
+            raise ParameterError(f"edge {(u, v)} has a label outside 0..{G.n - 1}")
         if v not in G.adj[u]:
             raise ParameterError(f"{(u, v)} is not an edge of the graph")
         if u in seen or v in seen:

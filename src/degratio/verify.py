@@ -17,11 +17,10 @@ from .catalog import base_catalog, cubic_catalog, product_pairs, \
     random_connected_graph
 from .construct import extend_good_pair, find_good_pair, lower_bound_witness
 from .errors import ParameterError, PreconditionError
-from .formulas import (class_lower_bound, cubic_q, edge_upper_bound,
-                       four_regular_q, tree_q, two_fifths_family)
-from .graph import (build_named, complete, cut_vertices, cycle,
-                    emit_graph, is_connected, is_isomorphic, is_tree,
-                    regularity)
+from .formulas import (characterize_third, class_lower_bound, cubic_q,
+                       edge_upper_bound, four_regular_q, tree_q)
+from .graph import (build_named, complete, cycle, emit_graph, is_connected,
+                    is_isomorphic, is_tree, regularity)
 from .ratios import partition_quality
 from .reductions import (bipartite_double_cover, cover_plus_matching,
                          product_with_fixed, twin_expand_then_K2,
@@ -64,7 +63,7 @@ def suite_bounds(max_n: int = 8, seed: int = 1, budget: int = DEFAULT_BUDGET):
         ok = (lb.value < q if lb.strict else lb.value <= q) and q <= ub < 1
         results.append(_result("bounds", "sandwich", G, ok,
                                f"{lb.value} <= {q} <= {ub}"))
-        if not is_isomorphic(G, cycle(3)):
+        if not characterize_third(G):
             results.append(_result("bounds", "floor-2/5", G,
                                    q >= Fraction(2, 5), f"q={q}"))
     return results
@@ -134,16 +133,11 @@ def suite_products(max_n: int = 24, seed: int = 1,
 def suite_good_pair(max_n: int = 9, seed: int = 1,
                     budget: int = DEFAULT_BUDGET):
     results = []
-    family = two_fifths_family() + (cycle(3),)
     for G in _graphs(max_n, seed):
-        if G.max_degree > 6 or not is_connected(G):
-            continue
-        if cut_vertices(G) or any(is_isomorphic(G, F) for F in family):
-            continue
         try:
             gp = find_good_pair(G, budget=budget)
         except PreconditionError:
-            continue  # triangle-free graphs are outside the construction
+            continue  # outside the construction: see find_good_pair
         P = extend_good_pair(G, gp)
         quality = partition_quality(G, P).quality
         results.append(_result("good-pair", "extension-quality", G,

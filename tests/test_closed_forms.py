@@ -24,7 +24,7 @@ from degratio.graph import (build_named, cartesian_product, complete,
                             complete_bipartite, contains_subgraph, cycle,
                             graph_from_edges, is_isomorphic, is_tree,
                             k_triangle, path, regularity)
-from degratio.ratios import Bipartition, partition_quality, top_edge
+from degratio.ratios import Bipartition, certify, partition_quality, top_edge
 from degratio.solver import solve_q
 
 
@@ -84,6 +84,26 @@ def test_cubic_dichotomy():
         _check_verdict(G, cubic_q(G), expected)
     assert cubic_q(complete(4)).value == Fraction(1, 2)
     assert cubic_q(complete_bipartite(3, 3)).value == Fraction(1, 2)
+
+
+def test_cubic_k4_and_k33_need_no_search(monkeypatch):
+    # K4 and K33 take the edge witness, under any labelling, and no solver
+    # search runs
+    from degratio import solver
+    searches = []
+    search = solver._search
+    monkeypatch.setattr(solver, "_search",
+                        lambda *args: searches.append(args) or search(*args))
+    rng = random.Random(3)
+    for base in (complete(4), complete_bipartite(3, 3)):
+        for _ in range(200):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            G = graph_from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+            for verdict in (cubic_q(G), closed_form(G)):
+                assert verdict.value == Fraction(1, 2)
+                certify(G, verdict.witness, Fraction(1, 2), "==")
+    assert searches == []
 
 
 def test_four_regular_trichotomy():

@@ -20,8 +20,9 @@ from degratio import construct
 from degratio.errors import (BudgetExceededError, CertificateError,
                              ParameterError, PreconditionError)
 from degratio.formulas import two_fifths_family
-from degratio.graph import (build_named, complete, cut_vertices, cycle,
-                            graph_from_edges, is_connected, is_isomorphic)
+from degratio.graph import (build_named, complete, components, cut_vertices,
+                            cycle, graph_from_edges, is_connected,
+                            is_isomorphic)
 from degratio.ratios import Bipartition, partition_quality
 
 
@@ -156,6 +157,29 @@ def test_good_pair_random_graphs(seed):
     gp = find_good_pair(G)
     P = extend_good_pair(G, gp)
     assert partition_quality(G, P).quality >= Fraction(3, 7)
+
+
+def test_cycle_within_finds_a_cycle_unless_a_forest():
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        G = random_connected_graph(rng, n, p=rng.uniform(0.1, 0.6))
+        allowed = frozenset(v for v in range(n) if rng.random() < 0.7)
+        sub = graph_from_edges(n, [(u, v) for u, v in G.edges()
+                                   if u in allowed and v in allowed])
+        comps = sum(1 for c in components(sub) if c <= allowed)
+        forest = sub.num_edges == len(allowed) - comps
+        cyc = construct._cycle_within(G, allowed)
+        answers.add(cyc is None)
+        if forest:
+            assert cyc is None, (G.edges(), allowed)
+            continue
+        assert cyc is not None and len(cyc) == len(set(cyc)) >= 3
+        assert set(cyc) <= allowed
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert b in G.adj[a], (G.edges(), allowed, cyc)
+    assert answers == {True, False}
 
 
 def test_good_pair_four_regular_variant():

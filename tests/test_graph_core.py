@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from degratio.catalog import product_pairs
+from degratio.catalog import product_pairs, random_connected_graph
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.formulas import closed_form
 from degratio.graph import (Graph, bipartition_classes, build_named,
@@ -15,7 +15,7 @@ from degratio.graph import (Graph, bipartition_classes, build_named,
                             complete_bipartite, components, contains_subgraph,
                             cut_vertices, cycle, emit_graph, fiber,
                             graph_from_edges, is_connected, is_isomorphic,
-                            is_pattern_free, is_tree, k_triangle, low_link,
+                            is_tree, k_triangle, low_link,
                             parse_graph, path, regularity, two_coloring)
 from degratio.ratios import Bipartition, partition_quality
 from degratio.reductions import cover_plus_matching, verify_equivalence
@@ -287,32 +287,52 @@ def test_prism_is_k3_times_k2():
 
 
 def test_pattern_detection_subgraph_vs_induced():
-    from degratio.graph import contains_induced, contains_subgraph
     K7 = complete(7)
     assert contains_subgraph(K7, k_triangle(3))
-    assert not contains_induced(K7, k_triangle(3))
-    assert is_pattern_free(cycle(5), ["C4", "K4", "diamond"])
-    # induced semantics: K4 contains the diamond only as a subgraph
-    assert is_pattern_free(complete(4), ["diamond"])
-    assert not is_pattern_free(build_named("K5-e"), ["diamond"])
 
 
-def _embeds_brute_force(G, pattern, induced):
+def test_named_pattern_graphs():
+    # the diamond and K4-e+v are the k-triangles T_2 and T_3
+    assert build_named("diamond") == k_triangle(2)
+    assert build_named("K4ev") == k_triangle(3)
+    # the complement of K_2 + claw keeps its labelling: K_2 on 0-1, the
+    # claw's centre at 2
+    assert build_named("coK2claw") == graph_from_edges(6, [
+        (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+        (3, 4), (3, 5), (4, 5)])
+
+
+def _embeds_brute_force(G, pattern):
     """Try every injective map of pattern vertices into G."""
-    pairs = list(itertools.combinations(range(pattern.n), 2))
     for image in itertools.permutations(range(G.n), pattern.n):
-        for a, b in pairs:
-            in_pattern = b in pattern.adj[a]
-            in_g = image[b] in G.adj[image[a]]
-            if in_pattern and not in_g or induced and in_g and not in_pattern:
-                break
-        else:
+        if all(image[b] in G.adj[image[a]] for a, b in pattern.edges()):
             return True
     return False
 
 
+def _isomorphic_brute_force(G, H):
+    """Try every bijection of G's vertices onto H's."""
+    edges = set(H.edges())
+    return G.n == H.n and any(
+        {tuple(sorted((perm[u], perm[v]))) for u, v in G.edges()} == edges
+        for perm in itertools.permutations(range(H.n)))
+
+
+def _degree_preserving_swap(G, rng):
+    """G with edges ab and cd replaced by ad and cb, when such a swap
+    exists; the degree sequence stays the same."""
+    edges = G.edges()
+    rng.shuffle(edges)
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and d not in G.adj[a] and b not in G.adj[c]:
+            kept = [e for e in edges if e not in ((a, b), (c, d), (d, c))]
+            return graph_from_edges(G.n, kept + [(a, d), (c, b)])
+    return G
+
+
 def test_pattern_detection_matches_brute_force():
-    from degratio.graph import contains_induced, contains_subgraph
     patterns = [complete(2), path(3), cycle(3), path(4), cycle(4),
                 build_named("claw"), build_named("diamond"), complete(4),
                 graph_from_edges(3, [(0, 1)]),            # K2 + K1
@@ -326,9 +346,23 @@ def test_pattern_detection_matches_brute_force():
                                  if rng.random() < p])
         for pattern in patterns:
             assert contains_subgraph(G, pattern) == \
-                _embeds_brute_force(G, pattern, induced=False), (G.adj, pattern)
-            assert contains_induced(G, pattern) == \
-                _embeds_brute_force(G, pattern, induced=True), (G.adj, pattern)
+                _embeds_brute_force(G, pattern), (G.adj, pattern)
+    # is_isomorphic against every bijection, on pairs with equal degree
+    # sequences, so that its search runs: a relabelling or a swap of two
+    # edges' ends
+    answers = []
+    for _ in range(80):
+        n = rng.randint(4, 7)
+        G = random_connected_graph(rng, n, p=rng.uniform(0.3, 0.7))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        H = graph_from_edges(n, [(perm[u], perm[v]) for u, v in G.edges()])
+        if rng.random() < 0.5:
+            H = _degree_preserving_swap(H, rng)
+        expected = _isomorphic_brute_force(G, H)
+        assert is_isomorphic(G, H) == expected, (G.edges(), H.edges())
+        answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_pattern_search_leaves_no_garbage_cycles():

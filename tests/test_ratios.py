@@ -78,6 +78,10 @@ def test_crossing_and_matching():
     assert not is_matching(complete(3), [(0, 1), (1, 2)])
     with pytest.raises(ParameterError):
         is_matching(path(3), [(0, 2)])
+    # a label outside 0..n-1 is refused, not read as another vertex
+    for edge in [(-1, 0), (6, 0)]:
+        with pytest.raises(ParameterError, match="outside"):
+            is_matching(cycle(6), [edge])
 
 
 @settings(max_examples=60, deadline=None)

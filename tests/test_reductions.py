@@ -8,7 +8,8 @@ from itertools import combinations
 import pytest
 
 from degratio.catalog import random_connected_graph
-from degratio.errors import BudgetExceededError, PreconditionError
+from degratio.errors import (BudgetExceededError, ParameterError,
+                             PreconditionError)
 from degratio.graph import (bipartition_classes, build_named, complete,
                             complete_bipartite, cycle, is_isomorphic,
                             regularity)
@@ -89,6 +90,9 @@ def test_is_matching_cut_set():
     assert not is_matching_cut_set(G, [(0, 1)])  # one edge cannot disconnect C6
     assert not is_matching_cut_set(G, [(0, 1), (1, 2)])  # shares a vertex
     assert not is_matching_cut_set(G, [])
+    for edge in [(-1, 0), (6, 0)]:  # labels outside 0..5
+        with pytest.raises(ParameterError):
+            is_matching_cut_set(G, [edge, (2, 3)])
 
 
 def _crossing_sets(G):
