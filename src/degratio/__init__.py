@@ -6,9 +6,11 @@ exact rational with a certifying witness partition, together with closed
 forms for known graph classes, matching-cut decisions, constructive lower
 bounds, and hardness-reduction gadget generators.
 
-The graph, ratio and solver names load with the package.  The names of
-``formulas``, ``construct``, ``reductions`` and ``catalog`` load on first
-access, so a call that needs none of them does not pay for their import.
+The graph, ratio and solver names load with the package, except the named
+constructions, ``build_named`` and ``is_isomorphic``.  Those, and the names
+of ``formulas``, ``construct``, ``reductions`` and ``catalog``, load on
+first access, so a call that needs none of them does not pay for their
+import.
 """
 
 from importlib import import_module as _import_module
@@ -16,11 +18,9 @@ from importlib import import_module as _import_module
 from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
                      PreconditionError)
-from .graph import (Graph, bipartition_classes, build_named, cartesian_product,
-                    complement, complete, complete_bipartite, cut_vertices,
-                    cycle, emit_graph, fiber, graph_from_edges, is_connected,
-                    is_isomorphic, is_tree, k_triangle, parse_graph, path,
-                    regularity)
+from .graph import (Graph, bipartition_classes, cartesian_product, complement,
+                    cut_vertices, emit_graph, fiber, graph_from_edges,
+                    is_connected, is_tree, parse_graph, regularity)
 from .ratios import (Bipartition, MatchingCutCertificate, QualityReport,
                      crossing_edges, format_ratio, is_matching, parse_ratio,
                      partition_quality, vertex_ratio)
@@ -32,6 +32,8 @@ __version__ = "1.0.0"
 
 # submodule -> the public names it provides on first access
 _LAZY = {
+    "named": ("build_named", "complete", "complete_bipartite", "cycle",
+              "is_isomorphic", "k_triangle", "path"),
     "formulas": ("FormulaVerdict", "LowerBound", "characterize_third",
                  "characterize_two_fifths", "class_lower_bound", "clique_q",
                  "closed_form", "cubic_q", "edge_upper_bound", "four_regular_q",

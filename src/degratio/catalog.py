@@ -6,8 +6,8 @@ from __future__ import annotations
 import random
 
 from .errors import ParameterError
-from .graph import (Graph, build_named, cartesian_product, graph_from_edges,
-                    is_connected)
+from .graph import Graph, cartesian_product, graph_from_edges, is_connected
+from .named import build_named
 
 _BASE_NAMES = (
     "K2", "K3", "K4", "K5", "K6", "K7", "K5-e",

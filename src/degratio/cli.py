@@ -26,8 +26,7 @@ from dataclasses import asdict
 from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
                      PreconditionError)
-from .graph import (Graph, build_named, emit_graph, parse_graph, regularity,
-                    two_coloring)
+from .graph import Graph, emit_graph, parse_graph, regularity, two_coloring
 from .ratios import format_ratio, parse_ratio
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut, solve_q
 
@@ -47,6 +46,7 @@ def _load_graph(args) -> Graph:
     if getattr(args, "named", None):
         if getattr(args, "input", None):
             raise ParameterError("give either an input file or --named, not both")
+        from .named import build_named
         return build_named(args.named)
     if not getattr(args, "input", None):
         raise ParameterError("an input file (or -) or --named is required")
@@ -204,6 +204,7 @@ def cmd_generate(args) -> int:
     budget = _budget(args)
     build = getattr(reductions, _CONSTRUCTIONS[args.construction])
     if args.construction == "product_fixed_H":
+        from .named import build_named
         inst = build(G, build_named(args.fixed), strict=args.strict, budget=budget)
     else:
         inst = build(G, strict=args.strict)

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, CertificateError, NoApplicableRule,
                      ParameterError, PreconditionError)
-from .graph import (Graph, build_named, cartesian_product, contains_subgraph,
-                    cycle, is_connected, is_isomorphic, is_tree, regularity,
+from .graph import (Graph, cartesian_product, is_connected, is_tree, regularity,
                     split_side, two_coloring)
+from .named import build_named, contains_subgraph, cycle, is_isomorphic
 from .ratios import Bipartition, certify, top_edge
 from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
 

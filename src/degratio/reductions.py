@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError
-from .graph import (Graph, bipartition_classes, cartesian_product, complete,
+from .graph import (Graph, bipartition_classes, cartesian_product,
                     graph_from_edges, is_connected, regularity, two_coloring)
+from .named import complete
 from .ratios import is_matching
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut
 

@@ -94,6 +94,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import (BudgetExceededError, CertificateError, ParameterError,
                      PreconditionError)
@@ -414,6 +415,8 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
 def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
     """Is there a nontrivial partition of quality >= q?  One search, which
     stops at the first witness; a disconnected graph answers yes at once."""
+    if not isinstance(q, Rational):
+        raise ParameterError(f"threshold must be an exact rational, got {q!r}")
     if not 0 < q <= 1:
         raise ParameterError(f"threshold must satisfy 0 < q <= 1, got {q}")
     split = _component_split(G)

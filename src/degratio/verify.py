@@ -19,8 +19,8 @@ from .construct import extend_good_pair, find_good_pair, lower_bound_witness
 from .errors import ParameterError, PreconditionError
 from .formulas import (characterize_third, class_lower_bound, cubic_q,
                        edge_upper_bound, four_regular_q, tree_q)
-from .graph import (build_named, complete, cycle, emit_graph, is_connected,
-                    is_isomorphic, is_tree, regularity)
+from .graph import emit_graph, is_connected, is_tree, regularity
+from .named import build_named, complete, cycle, is_isomorphic
 from .ratios import partition_quality
 from .reductions import (bipartite_double_cover, cover_plus_matching,
                          product_with_fixed, twin_expand_then_K2,

@@ -17,10 +17,10 @@ from degratio.errors import BudgetExceededError, PreconditionError
 from degratio.formulas import (class_lower_bound, clique_q, cubic_q,
                                edge_upper_bound, four_regular_q, ktriangle_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
-from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, cut_vertices, cycle,
-                            graph_from_edges, is_connected, is_isomorphic,
-                            k_triangle, path, regularity)
+from degratio import (build_named, cartesian_product, complete,
+                      complete_bipartite, cut_vertices, cycle,
+                      graph_from_edges, is_connected, is_isomorphic,
+                      k_triangle, path, regularity)
 from degratio.ratios import partition_quality
 from degratio.reductions import (bipartite_double_cover, cover_plus_matching,
                                  product_with_fixed, twin_expand_then_K2,

@@ -11,10 +11,10 @@ import pytest
 
 import degratio
 from conftest import witness_set
-from degratio import solver
+from degratio import cycle, solver
 from degratio.cli import SUITES, main
 from degratio.errors import ParameterError, PreconditionError
-from degratio.graph import emit_graph, parse_graph, cycle
+from degratio.graph import emit_graph, parse_graph
 from degratio.verify import _graphs, run_suite
 
 
@@ -142,7 +142,7 @@ def test_json_report_shape(capsys):
 
 def test_json_partition_revalidates(capsys):
     from fractions import Fraction
-    from degratio.graph import build_named
+    from degratio import build_named
     from degratio.ratios import Bipartition, partition_quality
     code, out, _ = run(capsys, "solve", "--named", "petersen", "--json")
     doc = json.loads(out)
@@ -216,21 +216,26 @@ def test_verify_lists_every_suite(capsys):
     assert done.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
-def test_solve_loads_only_what_it_needs():
-    # the other commands' modules load inside the commands that use them
-    code = (
-        "import sys\n"
-        "from degratio.cli import main\n"
-        "main(['solve', '--named', 'petersen'])\n"
-        "late = {'degratio.' + name for name in ('catalog', 'construct', 'formulas',"
-        " 'reductions', 'verify')}\n"
-        "print(sorted(late & set(sys.modules)))\n"
-    )
+def test_solve_loads_only_what_it_needs(tmp_path):
+    # the other commands' modules load inside the commands that use them,
+    # and the named graphs only for --named
+    f = tmp_path / "g.txt"
+    f.write_text(emit_graph(cycle(7)))
     src = str(Path(degratio.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    lines = out.splitlines()
-    assert lines[0] == "q = 3/4" and lines[-1] == "[]"
+    for argv, q, loaded in [([str(f)], "2/3", "[]"),
+                            (["--named", "petersen"], "3/4", "['degratio.named']")]:
+        code = (
+            "import sys\n"
+            "from degratio.cli import main\n"
+            f"main(['solve', *{argv!r}])\n"
+            "late = {'degratio.' + name for name in ('catalog', 'construct', 'formulas',"
+            " 'named', 'reductions', 'verify')}\n"
+            "print(sorted(late & set(sys.modules)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        lines = out.splitlines()
+        assert lines[0] == f"q = {q}" and lines[-1] == loaded
 
 
 def test_round_trip_canonical_form(tmp_path):

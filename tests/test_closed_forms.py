@@ -19,11 +19,12 @@ from degratio.formulas import (characterize_third, characterize_two_fifths,
                                cubic_q, edge_upper_bound, four_regular_q,
                                ktriangle_q, product_cubic_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
+from degratio import (build_named, complete, complete_bipartite, cycle,
+                      is_isomorphic, k_triangle, named, path)
 from degratio import graph as graph_module
-from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, contains_subgraph, cycle,
-                            graph_from_edges, is_isomorphic, is_tree,
-                            k_triangle, path, regularity)
+from degratio.graph import (cartesian_product, graph_from_edges, is_tree,
+                            regularity)
+from degratio.named import contains_subgraph
 from degratio.ratios import Bipartition, certify, partition_quality, top_edge
 from degratio.solver import solve_q
 
@@ -380,7 +381,7 @@ def test_recognition_builds_no_graph(monkeypatch):
         raise AssertionError("closed_form built a graph to recognize its input")
 
     for name in ("complete", "k_triangle", "complete_bipartite", "is_isomorphic"):
-        monkeypatch.setattr(graph_module, name, refuse)
+        monkeypatch.setattr(named, name, refuse)
         monkeypatch.setattr(formulas, name, refuse, raising=False)
     for G, value, rule in cases:
         verdict = closed_form(G)

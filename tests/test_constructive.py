@@ -20,9 +20,9 @@ from degratio import construct
 from degratio.errors import (BudgetExceededError, CertificateError,
                              ParameterError, PreconditionError)
 from degratio.formulas import two_fifths_family
-from degratio.graph import (build_named, complete, components, cut_vertices,
-                            cycle, graph_from_edges, is_connected,
-                            is_isomorphic)
+from degratio import build_named, complete, cycle, is_isomorphic
+from degratio.graph import (components, cut_vertices, graph_from_edges,
+                            is_connected)
 from degratio.ratios import Bipartition, partition_quality
 
 

@@ -10,13 +10,13 @@ import pytest
 from degratio.catalog import product_pairs, random_connected_graph
 from degratio.errors import GraphParseError, ParameterError, PreconditionError
 from degratio.formulas import closed_form
-from degratio.graph import (Graph, bipartition_classes, build_named,
-                            cartesian_product, complement, complete,
-                            complete_bipartite, components, contains_subgraph,
-                            cut_vertices, cycle, emit_graph, fiber,
-                            graph_from_edges, is_connected, is_isomorphic,
-                            is_tree, k_triangle, low_link,
-                            parse_graph, path, regularity, two_coloring)
+from degratio import (build_named, complete, complete_bipartite, cycle,
+                      is_isomorphic, k_triangle, path)
+from degratio.graph import (Graph, bipartition_classes, cartesian_product,
+                            complement, components, cut_vertices, emit_graph,
+                            fiber, graph_from_edges, is_connected, is_tree,
+                            low_link, parse_graph, regularity, two_coloring)
+from degratio.named import contains_subgraph
 from degratio.ratios import Bipartition, partition_quality
 from degratio.reductions import cover_plus_matching, verify_equivalence
 from degratio.solver import solve_q

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from degratio.catalog import (base_catalog, cubic_catalog, product_pairs,
                               random_connected_graph)
 from degratio.errors import ParameterError, PreconditionError
-from degratio.graph import build_named, complete, cycle, graph_from_edges, path
+from degratio import build_named, complete, cycle, path
+from degratio.graph import graph_from_edges
 from degratio.ratios import (Bipartition, crossing_edges, format_ratio,
                              is_matching, parse_ratio, partition_quality,
                              top_edge, vertex_ratio)

@@ -10,9 +10,9 @@ import pytest
 from degratio.catalog import random_connected_graph
 from degratio.errors import (BudgetExceededError, ParameterError,
                              PreconditionError)
-from degratio.graph import (bipartition_classes, build_named, complete,
-                            complete_bipartite, cycle, is_isomorphic,
-                            regularity)
+from degratio import (build_named, complete, complete_bipartite, cycle,
+                      is_isomorphic)
+from degratio.graph import bipartition_classes, regularity
 from degratio.reductions import (bipartite_double_cover, cover_plus_matching,
                                  is_matching_cut_set, product_with_fixed,
                                  twin_expand_then_K2, verify_equivalence)

@@ -3,6 +3,7 @@ matching-cut search."""
 
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from degratio import graph, solver
 from degratio.errors import BudgetExceededError, CertificateError, \
     ParameterError, PreconditionError
 from degratio.formulas import class_lower_bound, edge_upper_bound, tree_q
-from degratio.graph import (build_named, cartesian_product, complete,
-                            complete_bipartite, cycle, graph_from_edges,
-                            k_triangle, path)
+from degratio import (build_named, complete, complete_bipartite, cycle,
+                      k_triangle, path)
+from degratio.graph import cartesian_product, graph_from_edges
 from degratio.ratios import (Bipartition, certify, crossing_edges, is_matching,
                              min_ratio, partition_quality, top_edge)
 from degratio.solver import (_mcs_order, _search, decide, find_matching_cut,
@@ -342,6 +343,17 @@ def test_decide_parameter_validation():
         decide(complete(3), Fraction(0))
     with pytest.raises(ParameterError):
         decide(complete(3), Fraction(3, 2))
+
+
+def test_decide_refuses_inexact_thresholds():
+    # a float or decimal threshold is refused as a parameter, not with a bare
+    # AttributeError from the cap arithmetic; ints and Fractions are exact
+    G = cycle(5)
+    for q in (0.5, 1.0, Decimal("0.5"), "1/2"):
+        with pytest.raises(ParameterError, match="exact rational"):
+            decide(G, q)
+    assert decide(G, 1).satisfied is False
+    assert decide(G, Fraction(1, 2)).satisfied is True
 
 
 @settings(max_examples=50, deadline=None)

@@ -35,25 +35,55 @@ def test_library_raises_no_assertion_error():
 
 
 def test_import_defers_the_optional_modules():
-    # formulas, construct, reductions and catalog load on first access, and
-    # construct imports logging only where it logs; every name in __all__,
-    # loaded at import or deferred, resolves
+    # the import loads exactly the modules a solve runs: named, formulas,
+    # construct, reductions and catalog load on first access, and construct
+    # imports logging only where it logs; every name in __all__, loaded at
+    # import or deferred, resolves
     code = (
         "import sys, degratio\n"
-        "late = {'degratio.formulas', 'degratio.construct', 'degratio.reductions',"
-        " 'degratio.catalog', 'logging'}\n"
-        "print(sorted(late & set(sys.modules)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'degratio'))\n"
+        "print('logging' in sys.modules)\n"
         "print([n for n in degratio.__all__ if not hasattr(degratio, n)])\n"
     )
     root = Path(degratio.__file__).parent.parent
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(root))).stdout
-    assert out.splitlines() == ["[]", "[]"]
+    eager = ["degratio", "degratio.errors", "degratio.graph", "degratio.ratios",
+             "degratio.solver"]
+    assert out.splitlines() == [str(eager), "False", "[]"]
+    named = ["build_named", "complete", "complete_bipartite", "cycle", "is_isomorphic",
+             "k_triangle", "path"]
     for module, name in [("formulas", "closed_form"), ("construct", "lower_bound_witness"),
                          ("reductions", "verify_equivalence"),
-                         ("catalog", "random_connected_graph")]:
+                         ("catalog", "random_connected_graph")] + [
+                             ("named", name) for name in named]:
         assert name in degratio.__all__
         assert getattr(degratio, name) is getattr(getattr(degratio, module), name)
+
+
+def test_public_names_are_unchanged():
+    # moving a name between modules, or making it lazy, keeps the package's
+    # public names as they were
+    assert degratio.__all__ == """
+        Bipartition BudgetExceededError CertificateError DEFAULT_BUDGET
+        DecideResult DegratioError DegreeDemands FormulaVerdict GadgetInstance
+        GoodPair Graph GraphParseError LowerBound LowerBoundWitness
+        MatchingCutCertificate NoApplicableRule ParameterError PreconditionError
+        QualityReport ReductionClaim SolveResult base_catalog
+        bipartite_double_cover bipartition_classes build_named cartesian_product
+        characterize_third characterize_two_fifths class_lower_bound clique_q
+        closed_form complement complete complete_bipartite cover_plus_matching
+        crossing_edges cubic_catalog cubic_q cut_vertices cycle decide
+        degree_constrained_partition edge_upper_bound emit_graph errors
+        extend_good_pair fiber find_good_pair find_matching_cut format_ratio
+        four_regular_q graph graph_from_edges hou_demands is_connected
+        is_good_pair is_isomorphic is_matching is_matching_cut_set is_tree
+        k_triangle ktriangle_q lift_partition lower_bound_witness ma_demands
+        parse_graph parse_ratio partition_quality path product_cubic_q
+        product_kreg_tree_q product_matching_cut product_pairs product_with_fixed
+        random_connected_graph ratios regularity solve_q solver stiebitz_demands
+        tree_q twin_expand_then_K2 two_fifths_family verify_equivalence
+        vertex_ratio""".split()
 
 
 def test_library_imports_only_names_it_uses():
