@@ -3,6 +3,8 @@
 none of these, so the package loads this module when one of its names is
 first read."""
 
+from __future__ import annotations
+
 import itertools
 import re
 
