@@ -14,6 +14,7 @@ import.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .errors import (BudgetExceededError, CertificateError, DegratioError,
                      GraphParseError, NoApplicableRule, ParameterError,
@@ -52,7 +53,9 @@ _LAZY = {
                 "random_connected_graph"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
-__all__ = sorted({name for name in globals() if not name.startswith("_")} | _HOME.keys())
+# the relative imports above also bind the modules errors, graph, ratios, solver
+__all__ = sorted({name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)} | _HOME.keys())
 
 
 def __getattr__(name):

@@ -25,12 +25,12 @@ _PRODUCT_FACTOR_NAMES = ("K2", "K3", "C4", "K4", "K33", "prism")
 
 def base_catalog() -> tuple[Graph, ...]:
     """Connected named graphs with at most 10 vertices."""
-    return tuple(build_named(name) for name in _BASE_NAMES)
+    return tuple([build_named(name) for name in _BASE_NAMES])
 
 
 def cubic_catalog() -> tuple[Graph, ...]:
     """Every connected cubic catalog graph with at most 10 vertices."""
-    return tuple(build_named(name) for name in _CUBIC_NAMES)
+    return tuple([build_named(name) for name in _CUBIC_NAMES])
 
 
 def product_pairs(max_product: int = 24):

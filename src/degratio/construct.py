@@ -85,15 +85,15 @@ class DegreeDemands:
 
 
 def stiebitz_demands(G: Graph) -> DegreeDemands:
-    return DegreeDemands(tuple((G.degree(v) - 1) // 2 for v in range(G.n)), "stiebitz")
+    return DegreeDemands(tuple([(G.degree(v) - 1) // 2 for v in range(G.n)]), "stiebitz")
 
 
 def hou_demands(G: Graph) -> DegreeDemands:
-    return DegreeDemands(tuple(G.degree(v) // 2 for v in range(G.n)), "hou")
+    return DegreeDemands(tuple([G.degree(v) // 2 for v in range(G.n)]), "hou")
 
 
 def ma_demands(G: Graph) -> DegreeDemands:
-    return DegreeDemands(tuple((G.degree(v) + 1) // 2 for v in range(G.n)), "ma")
+    return DegreeDemands(tuple([(G.degree(v) + 1) // 2 for v in range(G.n)]), "ma")
 
 
 def demands_satisfied(G: Graph, demands: DegreeDemands, P: Bipartition) -> bool:
@@ -145,7 +145,7 @@ def _demand_partition(G: Graph, demands: DegreeDemands, budget: int) -> Bipartit
     """:func:`degree_constrained_partition` for demands known to meet their
     regime's conditions."""
     n = G.n
-    P = _demand_climb(G, demands.f, Bipartition(tuple(1 + i % 2 for i in range(n))))
+    P = _demand_climb(G, demands.f, Bipartition(tuple([1 + i % 2 for i in range(n)])))
     if P is not None:
         return P
     cap = [G.degree(v) - demands.f[v] for v in range(n)]

@@ -38,8 +38,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"graphs must have at least 2 vertices, got n={self.n}")
-        # rows become frozensets, so a repeated neighbour counts once
-        object.__setattr__(self, "adj", tuple(map(frozenset, self.adj)))
+        # rows become frozensets, so a repeated neighbour counts once; tuples
+        # are built from lists, which give them their final size at once
+        object.__setattr__(self, "adj", tuple(list(map(frozenset, self.adj))))
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ParameterError("adjacency length does not match vertex count")
@@ -108,7 +109,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None 
             raise ParameterError(f"edge {u}-{v} out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return _trusted(n, tuple(map(frozenset, adj)), name, factors)
+    return _trusted(n, tuple(list(map(frozenset, adj))), name, factors)
 
 
 # -- connectivity -----------------------------------------------------------
@@ -271,8 +272,8 @@ def bipartition_classes(G: Graph) -> tuple[frozenset[int], frozenset[int]] | Non
 
 
 def complement(G: Graph) -> Graph:
-    adj = tuple(frozenset(u for u in range(G.n) if u != v and u not in G.adj[v])
-                for v in range(G.n))
+    adj = tuple([frozenset(u for u in range(G.n) if u != v and u not in G.adj[v])
+                 for v in range(G.n)])
     name = None
     if G.name:
         name = f"co-{G.name}"
@@ -320,11 +321,11 @@ def fiber(P: Graph, which: str, anchor: int) -> tuple[int, ...]:
     if which == "left":
         if not 0 <= anchor < G.n:
             raise ParameterError(f"left anchor {anchor} out of range")
-        return tuple(anchor * H.n + h for h in range(H.n))
+        return tuple(range(anchor * H.n, (anchor + 1) * H.n))
     if which == "right":
         if not 0 <= anchor < H.n:
             raise ParameterError(f"right anchor {anchor} out of range")
-        return tuple(g * H.n + anchor for g in range(G.n))
+        return tuple(range(anchor, G.n * H.n, H.n))
     raise ParameterError(f"which must be 'left' or 'right', got {which!r}")
 
 
@@ -379,7 +380,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         raise GraphParseError("missing p line")
     if m != edges:
         raise GraphParseError(f"p line declares {m} edges but {edges} given")
-    return _trusted(n, tuple(map(frozenset, adj)), name)
+    return _trusted(n, tuple(list(map(frozenset, adj))), name)
 
 
 def emit_graph(G: Graph) -> str:

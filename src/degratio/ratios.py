@@ -10,6 +10,7 @@ the value claimed for it.  :func:`partition_quality` stays the per-vertex
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ class Bipartition:
     sides: tuple[int, ...]  # 1 or 2 per vertex
 
     def __post_init__(self):
+        object.__setattr__(self, "sides", tuple(self.sides))
         labels = set(self.sides)
         if not labels <= {1, 2}:
             raise ParameterError("side labels must be 1 or 2")
@@ -50,16 +52,16 @@ class Bipartition:
         side1 = set(side1)
         if side1 and (min(side1) < 0 or max(side1) >= n):
             raise ParameterError(f"side-1 labels must lie in 0..{n - 1}")
-        return cls(tuple(1 if v in side1 else 2 for v in range(n)))
+        return cls(tuple([1 if v in side1 else 2 for v in range(n)]))
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Bipartition":
-        return cls(tuple(1 if mask >> v & 1 else 2 for v in range(n)))
+        return cls(tuple([1 if mask >> v & 1 else 2 for v in range(n)]))
 
     @classmethod
     def from_string(cls, text: str) -> "Bipartition":
         try:
-            return cls(tuple(int(c) for c in text.strip()))
+            return cls(tuple([int(c) for c in text.strip()]))
         except ValueError:
             raise ParameterError(f"bad partition string {text!r}")
 
@@ -70,7 +72,7 @@ class Bipartition:
         return "".join(str(s) for s in self.sides)
 
     def flipped(self) -> "Bipartition":
-        return Bipartition(tuple(3 - s for s in self.sides))
+        return Bipartition(tuple([3 - s for s in self.sides]))
 
     def __len__(self):
         return len(self.sides)
@@ -141,15 +143,20 @@ def min_ratio(G: Graph, sides) -> tuple[int, int]:
     return bk, bd
 
 
+_RELATIONS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
 def certify(G: Graph, P: Bipartition, bound: Fraction,
             relation: str = ">=") -> Fraction:
     """The quality of P, recomputed by :func:`min_ratio`, when it is
     ``relation`` (``"=="``, ``">="`` or ``">"``) the bound; raises
     :class:`CertificateError` otherwise."""
+    compare = _RELATIONS.get(relation)
+    if compare is None:
+        raise ParameterError(f"relation must be '==', '>=' or '>', got {relation!r}")
     _check(G, P)
     quality = Fraction(*min_ratio(G, P.sides))
-    holds = {"==": quality == bound, ">=": quality >= bound, ">": quality > bound}
-    if not holds[relation]:
+    if not compare(quality, bound):
         raise CertificateError(f"witness quality {format_ratio(quality)} is not "
                                f"{relation} {format_ratio(bound)}")
     return quality

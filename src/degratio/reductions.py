@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError
-from .graph import (Graph, bipartition_classes, cartesian_product,
+from .graph import (Graph, bipartition_classes, cartesian_product, fiber,
                     graph_from_edges, is_connected, regularity, two_coloring)
 from .named import complete
 from .ratios import is_matching
@@ -73,7 +73,7 @@ def bipartite_double_cover(G: Graph, strict: bool = False) -> GadgetInstance:
         raise PreconditionError(f"hardness claim needs degree >= 4, got {k}")
     gadget = graph_from_edges(2 * G.n, _double_cover_edges(G),
                               name=f"double_cover({G.name or G.n})")
-    prov = tuple((v, (2 * v, 2 * v + 1)) for v in range(G.n))
+    prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(G.n)])
     return GadgetInstance(gadget, G, "double_cover",
                           ReductionClaim("cut_iff_cut"), prov)
 
@@ -91,7 +91,7 @@ def cover_plus_matching(G: Graph, strict: bool = False) -> GadgetInstance:
     edges = _double_cover_edges(G) + [(2 * v, 2 * v + 1) for v in range(G.n)]
     gadget = graph_from_edges(2 * G.n, edges,
                               name=f"cover_plus_matching({G.name or G.n})")
-    prov = tuple((v, (2 * v, 2 * v + 1)) for v in range(G.n))
+    prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(G.n)])
     return GadgetInstance(gadget, G, "cover_plus_matching",
                           ReductionClaim("mapped_cut"), prov)
 
@@ -114,7 +114,7 @@ def twin_expand_then_K2(G: Graph, strict: bool = False) -> GadgetInstance:
     gadget = cartesian_product(expanded, complete(2))
     big = expanded.max_degree
     threshold = Fraction(big + 1, big + 2)
-    prov = tuple((v, (2 * v, 2 * v + 1)) for v in range(n))
+    prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(n)])
     return GadgetInstance(gadget, G, "twin_expand_K2",
                           ReductionClaim("cut_iff_q", threshold), prov)
 
@@ -136,7 +136,7 @@ def product_with_fixed(G: Graph, H: Graph, strict: bool = False,
         raise PreconditionError("the fixed factor must not have a matching-cut")
     gadget = cartesian_product(G, H)
     threshold = Fraction(k + kp, k + kp + 1)
-    prov = tuple((v, tuple(v * H.n + h for h in range(H.n))) for v in range(G.n))
+    prov = tuple([(v, fiber(gadget, "left", v)) for v in range(G.n)])
     return GadgetInstance(gadget, G, "product_fixed_H",
                           ReductionClaim("cut_iff_q", threshold), prov)
 

@@ -364,7 +364,7 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     if parent.count(-1) > 1:
         # the root 0's component is what is discovered before the next root
         first = disc[parent.index(-1, 1)]
-        split = Bipartition(tuple(1 if t < first else 2 for t in disc))
+        split = Bipartition(tuple([1 if t < first else 2 for t in disc]))
         return SolveResult(Fraction(1), split, 0, "upper_bound_met")
     top = top_edge(G)[1]
     d1 = [len(a) + 1 for a in G.adj]
@@ -489,9 +489,9 @@ def lift_partition(P: Graph, factor_partition: Bipartition, which: str) -> Bipar
         raise PreconditionError("graph has no product provenance")
     G, H = P.factors
     if which == "left":
-        sides = tuple(factor_partition.sides[v // H.n] for v in range(P.n))
+        sides = tuple([factor_partition.sides[v // H.n] for v in range(P.n)])
     elif which == "right":
-        sides = tuple(factor_partition.sides[v % H.n] for v in range(P.n))
+        sides = tuple([factor_partition.sides[v % H.n] for v in range(P.n)])
     else:
         raise ParameterError(f"which must be 'left' or 'right', got {which!r}")
     return Bipartition(sides)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from degratio.catalog import (base_catalog, cubic_catalog, product_pairs,
                               random_connected_graph)
-from degratio.errors import ParameterError, PreconditionError
+from degratio.errors import CertificateError, ParameterError, PreconditionError
 from degratio import build_named, complete, cycle, path
 from degratio.graph import graph_from_edges
-from degratio.ratios import (Bipartition, crossing_edges, format_ratio,
+from degratio.ratios import (Bipartition, certify, crossing_edges, format_ratio,
                              is_matching, parse_ratio, partition_quality,
                              top_edge, vertex_ratio)
 
@@ -36,6 +36,26 @@ def test_bipartition_invariants():
     assert P.side(1) == frozenset({0, 2})
     assert P.flipped().side(2) == frozenset({0, 2})
     assert Bipartition.from_string(P.to_string()) == P
+
+
+def test_bipartition_stores_its_sides_as_a_tuple():
+    # a list used to be kept as given: unequal to the tuple form, and unhashable
+    P = Bipartition([1, 2, 1])
+    assert P.sides == (1, 2, 1) and type(P.sides) is tuple
+    assert P == Bipartition((1, 2, 1))
+    assert hash(P) == hash(Bipartition((1, 2, 1)))
+
+
+def test_certify_refuses_an_unknown_relation():
+    # "<" used to raise a bare KeyError
+    G, P = cycle(4), Bipartition.from_string("1122")
+    assert certify(G, P, Fraction(2, 3), "==") == Fraction(2, 3)
+    assert certify(G, P, Fraction(1, 2), ">") == Fraction(2, 3)
+    with pytest.raises(CertificateError):
+        certify(G, P, Fraction(2, 3), ">")
+    for relation in ("<", "=", "<=", ""):
+        with pytest.raises(ParameterError):
+            certify(G, P, Fraction(1, 2), relation)
 
 
 def test_vertex_ratio_examples():
