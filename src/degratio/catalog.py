@@ -22,6 +22,8 @@ _CUBIC_NAMES = ("K4", "K33", "prism", "cube", "wagner", "prod:C5,K2", "petersen"
 
 _PRODUCT_FACTOR_NAMES = ("K2", "K3", "C4", "K4", "K33", "prism")
 
+_MAX_TRIES = 10_000
+
 
 def base_catalog() -> tuple[Graph, ...]:
     """Connected named graphs with at most 10 vertices."""
@@ -43,17 +45,16 @@ def product_pairs(max_product: int = 24):
                 yield G, H, cartesian_product(G, H)
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float = 0.5,
-                           max_tries: int = 10_000) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     """Erdos-Renyi sample rejected until connected."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 0 < p <= 1:
         raise ParameterError(f"edge probability must lie in (0, 1], got {p}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
         G = graph_from_edges(n, edges, name=f"gnp({n},{p})")
         if is_connected(G):
             return G
-    raise RuntimeError(f"no connected sample after {max_tries} tries")
+    raise RuntimeError(f"no connected sample after {_MAX_TRIES} tries")

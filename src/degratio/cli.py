@@ -205,9 +205,9 @@ def cmd_generate(args) -> int:
     build = getattr(reductions, _CONSTRUCTIONS[args.construction])
     if args.construction == "product_fixed_H":
         from .named import build_named
-        inst = build(G, build_named(args.fixed), strict=args.strict, budget=budget)
+        inst = build(G, build_named(args.fixed), budget=budget)
     else:
-        inst = build(G, strict=args.strict)
+        inst = build(G)
     text = emit_graph(inst.graph)
     sidecar = {
         "construction": inst.construction,
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("construction", choices=sorted(_CONSTRUCTIONS))
     _add_common(p)
     p.add_argument("--fixed", help="named fixed factor for product_fixed_H")
-    p.add_argument("--strict", action="store_true",
-                   help="enforce the hardness-claim degree bounds")
     p.add_argument("--out", help="write gadget here and sidecar to <out>.json")
     p.set_defaults(func=cmd_generate)
 

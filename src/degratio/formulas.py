@@ -257,11 +257,9 @@ def _product_cubic(P: Graph, budget: int) -> FormulaVerdict:
     G, H = P.factors
     if _k4_or_k33(G) and _k4_or_k33(H):
         # two adjacent left-factor fibers against the rest
-        a = 0
-        b = min(G.adj[a])
-        side1 = {g * H.n + h for g in (a, b) for h in range(H.n)}
+        pair = Bipartition.from_side1(G.n, {0, min(G.adj[0])})
         return FormulaVerdict(Fraction(5, 7), "prodcub",
-                              Bipartition.from_side1(P.n, side1))
+                              lift_partition(P, pair, "left"))
     cert = find_matching_cut(P, budget=budget)
     if not cert.has_cut:
         raise CertificateError("cubic product dichotomy violated: no matching-cut")

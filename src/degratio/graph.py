@@ -99,8 +99,8 @@ def _trusted(n: int, adj: tuple[frozenset[int], ...], name: str | None,
     return G
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None = None,
-                     factors: tuple[Graph, Graph] | None = None) -> Graph:
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
+                     name: str | None = None) -> Graph:
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -109,7 +109,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None 
             raise ParameterError(f"edge {u}-{v} out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return _trusted(n, tuple(list(map(frozenset, adj))), name, factors)
+    return _trusted(n, tuple(list(map(frozenset, adj))), name)
 
 
 # -- connectivity -----------------------------------------------------------

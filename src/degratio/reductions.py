@@ -1,12 +1,9 @@
-"""Hardness-reduction gadget generators and small-instance equivalence
-checkers.
+"""Hardness-reduction gadget generators and small-instance claim checkers.
 
-Each generator turns a source graph into a gadget graph together with the
-decision equivalence it is supposed to satisfy, and keeps a vertex
-provenance map.  ``strict=True`` enforces the degree bounds under which the
-hardness claims hold; the default test mode waives only those bounds (the
-constructions themselves are degree-generic) so that instances stay small
-enough for exhaustive verification.
+Each generator turns a source graph into a gadget graph, the claim it
+proves about the pair and a vertex provenance map.  The degree bounds of
+the hardness sources (Chvátal 1984; Le and Randerath 2003) make the source
+problem hard but change no claim, so the constructions take any degree.
 
 Gadget vertex naming: copy one of source vertex v is 2v, copy two is 2v+1;
 twin vertices are appended after the originals before taking the product.
@@ -19,8 +16,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError
-from .graph import (Graph, bipartition_classes, cartesian_product, fiber,
-                    graph_from_edges, is_connected, regularity, two_coloring)
+from .graph import (Graph, cartesian_product, fiber, graph_from_edges,
+                    is_connected, regularity, two_coloring)
 from .named import complete
 from .ratios import is_matching
 from .solver import DEFAULT_BUDGET, decide, find_matching_cut
@@ -28,18 +25,18 @@ from .solver import DEFAULT_BUDGET, decide, find_matching_cut
 
 @dataclass(frozen=True)
 class ReductionClaim:
-    """Decision equivalence asserted for a gadget.
+    """What a gadget is proved to satisfy; each builder proves its claim.
 
-    cut_iff_cut: the source has a matching-cut iff the gadget has one.
+    cut_implies_cut: a source matching-cut gives a gadget matching-cut.
     mapped_cut:  an edge set C is a matching-cut of the source iff its image
-                 {u1 v2, u2 v1 : uv in C} is a matching-cut of the gadget.
-                 (Existence is NOT preserved here: two bipartite copies plus
-                 a perfect matching always admit the copy-swap cut.)
+                 {u1 v2, u2 v1 : uv in C} is a matching-cut of the gadget
+                 (existence is not kept: the copy-swap cut always crosses).
     cut_iff_q:   the source has a matching-cut iff the gadget's degree ratio
                  reaches the threshold.
+    q_implies_cut: a gadget reaching the threshold gives a source matching-cut.
     """
 
-    kind: str  # "cut_iff_cut" | "mapped_cut" | "cut_iff_q"
+    kind: str  # "cut_implies_cut" | "mapped_cut" | "cut_iff_q" | "q_implies_cut"
     threshold: Fraction | None = None
 
 
@@ -55,40 +52,38 @@ class GadgetInstance:
         return dict(self.provenance)[source_vertex]
 
 
-def _double_cover_edges(G: Graph) -> list[tuple[int, int]]:
-    edges = []
-    for u, v in G.edges():
-        edges.append((2 * u, 2 * v + 1))
-        edges.append((2 * v, 2 * u + 1))
-    return edges
+def _crossed(edges) -> list[tuple[int, int]]:
+    """The two crossed copies u1 v2 and u2 v1 of each edge uv."""
+    return [e for u, v in edges for e in ((2 * u, 2 * v + 1), (2 * v, 2 * u + 1))]
 
 
-def bipartite_double_cover(G: Graph, strict: bool = False) -> GadgetInstance:
-    """Two copies of each vertex with crossed edge copies; preserves
-    matching-cut existence for connected regular sources."""
-    k = regularity(G)
-    if k is None or not is_connected(G):
+def bipartite_double_cover(G: Graph) -> GadgetInstance:
+    """Two crossed copies of a connected regular non-bipartite source.
+
+    Claim ``cut_implies_cut``: a source matching-cut (A, B) lifts to
+    (A x {0, 1}, B x {0, 1}), where the crossing edges at a copy of v are
+    copies of those at v, so at most one.  K4 and C8(1, 2) refute the converse.
+    """
+    if regularity(G) is None or not is_connected(G):
         raise PreconditionError("double cover needs a connected regular source")
-    if strict and k < 4:
-        raise PreconditionError(f"hardness claim needs degree >= 4, got {k}")
-    gadget = graph_from_edges(2 * G.n, _double_cover_edges(G),
+    if two_coloring(G) is not None:
+        raise PreconditionError("the double cover of a bipartite source is "
+                                "two disjoint copies of it")
+    gadget = graph_from_edges(2 * G.n, _crossed(G.edges()),
                               name=f"double_cover({G.name or G.n})")
     prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(G.n)])
     return GadgetInstance(gadget, G, "double_cover",
-                          ReductionClaim("cut_iff_cut"), prov)
+                          ReductionClaim("cut_implies_cut"), prov)
 
 
-def cover_plus_matching(G: Graph, strict: bool = False) -> GadgetInstance:
+def cover_plus_matching(G: Graph) -> GadgetInstance:
     """Double cover plus the perfect matching joining the two copies of each
     vertex; lifts a (k-1)-regular bipartite source to a k-regular bipartite
-    gadget with the same matching-cut verdict."""
-    k = regularity(G)
-    if k is None or not is_connected(G) or two_coloring(G) is None:
+    gadget with the same matching-cuts, mapped edge by edge."""
+    if regularity(G) is None or not is_connected(G) or two_coloring(G) is None:
         raise PreconditionError(
             "cover-plus-matching needs a connected regular bipartite source")
-    if strict and k < 4:
-        raise PreconditionError(f"hardness claim needs degree >= 4, got {k}")
-    edges = _double_cover_edges(G) + [(2 * v, 2 * v + 1) for v in range(G.n)]
+    edges = _crossed(G.edges()) + [(2 * v, 2 * v + 1) for v in range(G.n)]
     gadget = graph_from_edges(2 * G.n, edges,
                               name=f"cover_plus_matching({G.name or G.n})")
     prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(G.n)])
@@ -96,39 +91,46 @@ def cover_plus_matching(G: Graph, strict: bool = False) -> GadgetInstance:
                           ReductionClaim("mapped_cut"), prov)
 
 
-def twin_expand_then_K2(G: Graph, strict: bool = False) -> GadgetInstance:
-    """Attach a degree-1 twin to every vertex, then take the product with an
-    edge; the source has a matching-cut iff the gadget's ratio reaches
-    (D+1)/(D+2) where D is the twin-expanded maximum degree."""
-    classes = bipartition_classes(G)
-    if not is_connected(G) or classes is None:
+def twin_expand_then_K2(G: Graph) -> GadgetInstance:
+    """Attach a degree-1 twin to every vertex of a connected bipartite
+    source, then take the product with K2, at threshold (D+1)/(D+2) for the
+    twin-expanded maximum degree D.
+
+    Claim ``cut_iff_q`` on a regular source, else ``q_implies_cut``.  At the
+    threshold a gadget vertex keeps its closed neighbourhood whole, or loses
+    one edge if its closed degree is D+2.  Twins (closed degree 3 < D+2)
+    keep both copies of their vertex on one side, so the projection onto G
+    is a matching-cut.  Conversely a source matching-cut lifts, twins beside
+    their vertices, when every source vertex has closed degree D+2 in the
+    gadget, that is when G is regular; P3 refutes the converse otherwise.
+    """
+    if not is_connected(G) or two_coloring(G) is None:
         raise PreconditionError("twin expansion needs a connected bipartite source")
-    if strict:
-        side_degrees = [sorted({G.degree(v) for v in side}) for side in classes]
-        if sorted(map(tuple, side_degrees)) != [(3,), (4,)]:
-            raise PreconditionError("hardness claim needs a (3,4)-biregular source")
     n = G.n
     twin_edges = list(G.edges()) + [(v, n + v) for v in range(n)]
     expanded = graph_from_edges(2 * n, twin_edges,
                                 name=f"twin_expand({G.name or G.n})")
     gadget = cartesian_product(expanded, complete(2))
     big = expanded.max_degree
-    threshold = Fraction(big + 1, big + 2)
+    kind = "q_implies_cut" if regularity(G) is None else "cut_iff_q"
     prov = tuple([(v, (2 * v, 2 * v + 1)) for v in range(n)])
     return GadgetInstance(gadget, G, "twin_expand_K2",
-                          ReductionClaim("cut_iff_q", threshold), prov)
+                          ReductionClaim(kind, Fraction(big + 1, big + 2)), prov)
 
 
-def product_with_fixed(G: Graph, H: Graph, strict: bool = False,
+def product_with_fixed(G: Graph, H: Graph,
                        budget: int = DEFAULT_BUDGET) -> GadgetInstance:
-    """Product with a fixed regular matching-cut-free graph H; the source
-    has a matching-cut iff the product's ratio reaches (k+k')/(k+k'+1)."""
+    """Product of a connected k-regular bipartite source with a fixed
+    connected k'-regular graph H that has no matching-cut.
+
+    Claim ``cut_iff_q`` at (k+k')/(k+k'+1): in the (k+k')-regular product a
+    partition reaches it iff each vertex loses at most one edge, iff it is a
+    matching-cut, and the product has one iff G does (product rule).
+    """
     k = regularity(G)
     if k is None or two_coloring(G) is None or not is_connected(G):
         raise PreconditionError(
             "product reduction needs a connected regular bipartite source")
-    if strict and k < 4:
-        raise PreconditionError(f"hardness claim needs degree >= 4, got {k}")
     kp = regularity(H)
     if kp is None or not is_connected(H):
         raise PreconditionError("the fixed factor must be connected and regular")
@@ -158,10 +160,6 @@ def is_matching_cut_set(G: Graph, cut) -> bool:
     return two_coloring(G, mate) is not None
 
 
-def _mapped_cut(cut) -> list[tuple[int, int]]:
-    return [e for u, v in cut for e in ((2 * u, 2 * v + 1), (2 * v, 2 * u + 1))]
-
-
 def _matchings(G: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every nonempty matching of G once, as a tuple of edges in
     ``G.edges()`` order."""
@@ -178,7 +176,8 @@ def _matchings(G: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def verify_equivalence(inst: GadgetInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """Evaluate both sides of the instance's claim exactly and compare.
+    """Evaluate both sides of the instance's claim exactly and compare them
+    by the claim's relation.
 
     A ``mapped_cut`` claim is checked over the source's nonempty matchings
     only, which is exact: any other nonempty edge set fails on both sides.
@@ -187,15 +186,17 @@ def verify_equivalence(inst: GadgetInstance, budget: int = DEFAULT_BUDGET) -> bo
     2v + 1 of v, so the image is no matching-cut of the gadget either.
     ``budget`` bounds the number of matchings checked there.
 
-    The two searches of ``cut_iff_cut`` and ``cut_iff_q``, source first,
-    draw on the one budget in turn.  Budget exhaustion propagates as
-    :class:`BudgetExceededError`, which is inconclusive rather than a
+    The other kinds search the source for a matching-cut, then the gadget
+    for one (``cut_implies_cut``) or ``decide`` it at the threshold; the
+    searches draw on the one budget in turn.  Budget exhaustion propagates
+    as :class:`BudgetExceededError`, which is inconclusive rather than a
     refutation; its ``explored`` counts both searches.
     """
-    if inst.claim.kind in ("cut_iff_cut", "cut_iff_q"):
+    kind = inst.claim.kind
+    if kind in ("cut_implies_cut", "cut_iff_q", "q_implies_cut"):
         left = find_matching_cut(inst.source, budget=budget)
         try:
-            if inst.claim.kind == "cut_iff_cut":
+            if kind == "cut_implies_cut":
                 right = find_matching_cut(inst.graph, budget=budget - left.explored)
             else:
                 right = decide(inst.graph, inst.claim.threshold,
@@ -203,13 +204,16 @@ def verify_equivalence(inst: GadgetInstance, budget: int = DEFAULT_BUDGET) -> bo
         except BudgetExceededError as exc:
             exc.explored += left.explored
             raise
-        return left.has_cut == bool(right)
-    if inst.claim.kind == "mapped_cut":
+        source, gadget = left.has_cut, bool(right)
+        # on bools, a <= b is "a implies b"
+        return {"cut_implies_cut": source <= gadget, "cut_iff_q": source == gadget,
+                "q_implies_cut": gadget <= source}[kind]
+    if kind == "mapped_cut":
         for checked, cut in enumerate(_matchings(inst.source), start=1):
             if checked > budget:
                 raise BudgetExceededError(explored=checked)
             if (is_matching_cut_set(inst.source, cut)
-                    != is_matching_cut_set(inst.graph, _mapped_cut(cut))):
+                    != is_matching_cut_set(inst.graph, _crossed(cut))):
                 return False
         return True
-    raise PreconditionError(f"unknown claim kind {inst.claim.kind!r}")
+    raise PreconditionError(f"unknown claim kind {kind!r}")

@@ -436,16 +436,15 @@ def decide(G: Graph, q: Fraction, budget: int = DEFAULT_BUDGET) -> DecideResult:
 # -- matching cuts ----------------------------------------------------------
 
 
-def _cut_partition(G: Graph, budget: int,
-                   product_rule: bool = True) -> tuple[int, Bipartition | None]:
+def _cut_partition(G: Graph, budget: int) -> tuple[int, Bipartition | None]:
     """A matching-cut partition of a connected graph, or None when it has
     none, with the number of assignments made.
 
-    With ``product_rule``, a product with provenance is decided through its
-    factors: it has a matching-cut iff some factor has one, and a factor cut
-    lifts fiber-wise.  The factor searches draw on the one budget in turn.
+    A product with provenance is decided through its factors: it has a
+    matching-cut iff some factor has one, and a factor cut lifts fiber-wise.
+    The factor searches draw on the one budget in turn.
     """
-    if not (product_rule and G.factors):
+    if not G.factors:
         # a vertex with two cross neighbors kills the branch, so a leaf is a cut
         explored, sides = _search(G, [1] * G.n, budget, lambda sides, same: True)
         return explored, None if sides is None else Bipartition(sides)
@@ -462,19 +461,18 @@ def _cut_partition(G: Graph, budget: int,
     return spent, None
 
 
-def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET,
-                      use_product_rule: bool = True) -> MatchingCutCertificate:
+def find_matching_cut(G: Graph, budget: int = DEFAULT_BUDGET) -> MatchingCutCertificate:
     """Certificate for matching-cut existence in a connected graph.
 
     Product graphs with provenance are decided through their factors (the
     factor rule both finds a lifted cut and certifies absence), whose
-    searches share ``budget``; pass ``use_product_rule=False`` to force the
-    raw exhaustive search.  ``explored`` counts the assignments of every
-    search made, factor searches included.
+    searches share ``budget``; a graph without provenance, such as
+    ``Graph(P.n, P.adj)``, gets the raw exhaustive search.  ``explored``
+    counts the assignments of every search made, factor searches included.
     """
     if not is_connected(G):
         raise PreconditionError("matching-cut search needs a connected graph")
-    explored, part = _cut_partition(G, budget, use_product_rule)
+    explored, part = _cut_partition(G, budget)
     if part is None:
         return MatchingCutCertificate(False, None, (), explored)
     crossing = tuple(crossing_edges(G, part))

@@ -4,7 +4,7 @@ graphs; each suite returns one result per checked property instance.
 The suites mirror the guarantees the library rests on: bound sandwiches,
 formula-versus-solver equality, matching-cut ground truth, the product
 matching-cut rule, good-pair extension quality, and reduction-gadget
-decision equivalences.
+claims.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .construct import extend_good_pair, find_good_pair, lower_bound_witness
 from .errors import ParameterError, PreconditionError
 from .formulas import (characterize_third, class_lower_bound, cubic_q,
                        edge_upper_bound, four_regular_q, tree_q)
-from .graph import emit_graph, is_connected, is_tree, regularity
+from .graph import Graph, emit_graph, is_connected, is_tree, regularity
 from .named import build_named, complete, cycle, is_isomorphic
 from .ratios import partition_quality
 from .reductions import (bipartite_double_cover, cover_plus_matching,
@@ -95,7 +95,7 @@ def suite_matching_cut(max_n: int = 10, seed: int = 1,
     # the cut-free cubic graphs are K4 and K33; K3 (not cubic) also has none
     no_cut = (complete(3), complete(4), build_named("K33"))
     for G in cubic_catalog() + (complete(3),):
-        cert = find_matching_cut(G, budget=budget, use_product_rule=False)
+        cert = find_matching_cut(Graph(G.n, G.adj), budget=budget)
         expected = not any(is_isomorphic(G, H) for H in no_cut)
         results.append(_result("matching-cut", "cubic-ground-truth", G,
                                cert.has_cut == expected,
@@ -117,7 +117,7 @@ def suite_products(max_n: int = 24, seed: int = 1,
     results = []
     for G, H, P in product_pairs(max_product=max_n):
         rule = product_matching_cut(G, H, budget=budget)
-        direct = find_matching_cut(P, budget=budget, use_product_rule=False)
+        direct = find_matching_cut(Graph(P.n, P.adj), budget=budget)
         results.append(_result("products", "matching-cut-rule", P,
                                rule.has_cut == direct.has_cut,
                                f"rule={rule.has_cut} direct={direct.has_cut}"))
@@ -153,7 +153,7 @@ def suite_good_pair(max_n: int = 9, seed: int = 1,
 def suite_reductions(max_n: int = 24, seed: int = 1,
                      budget: int = DEFAULT_BUDGET):
     instances = [
-        bipartite_double_cover(complete(5), strict=True),
+        bipartite_double_cover(complete(5)),
         bipartite_double_cover(cycle(5)),
         cover_plus_matching(build_named("K33")),
         cover_plus_matching(cycle(6)),

@@ -17,7 +17,7 @@ from degratio.errors import BudgetExceededError, PreconditionError
 from degratio.formulas import (class_lower_bound, clique_q, cubic_q,
                                edge_upper_bound, four_regular_q, ktriangle_q,
                                product_kreg_tree_q, tree_q, two_fifths_family)
-from degratio import (build_named, cartesian_product, complete,
+from degratio import (Graph, build_named, cartesian_product, complete,
                       complete_bipartite, cut_vertices, cycle,
                       graph_from_edges, is_connected, is_isomorphic,
                       k_triangle, path, regularity)
@@ -67,7 +67,7 @@ def test_acceptance_2_matching_cut_ground_truth():
     no_cut = (complete(3), complete(4), complete_bipartite(3, 3))
     bad = []
     for G in cubic_catalog() + (complete(3),):
-        cert = find_matching_cut(G, use_product_rule=False)
+        cert = find_matching_cut(Graph(G.n, G.adj))
         expected = not any(is_isomorphic(G, H) for H in no_cut)
         if cert.has_cut != expected:
             bad.append(G.name)
@@ -82,7 +82,7 @@ def test_acceptance_3_product_lemma_both_directions():
     checked = 0
     for G, H, P in product_pairs(max_product=24):
         rule = product_matching_cut(G, H)
-        direct = find_matching_cut(P, use_product_rule=False)
+        direct = find_matching_cut(Graph(P.n, P.adj))
         checked += 1
         if rule.has_cut != direct.has_cut:
             bad.append((G.name, H.name))
@@ -226,7 +226,7 @@ def test_acceptance_8_reduction_equivalences():
         if cut != dec:
             bad.append(f"threshold {G.name}")
     _line(8, not bad and checked >= 10,
-          f"5 gadget equivalences + k/(k+1) threshold on {checked} "
+          f"5 gadget claims + k/(k+1) threshold on {checked} "
           f"regular graphs" + (f"; failures {bad}" if bad else ""))
 
 

@@ -1,26 +1,29 @@
-"""Gadget constructions: structural postconditions and decision
-equivalences."""
+"""Gadget constructions: structural postconditions and the claims each
+gadget proves."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from conftest import naive_matching_cut, naive_q
 from degratio.catalog import random_connected_graph
 from degratio.errors import (BudgetExceededError, ParameterError,
                              PreconditionError)
 from degratio import (build_named, complete, complete_bipartite, cycle,
-                      is_isomorphic)
-from degratio.graph import bipartition_classes, regularity
+                      is_isomorphic, path)
+from degratio.graph import (bipartition_classes, graph_from_edges,
+                            is_connected, regularity)
 from degratio.reductions import (bipartite_double_cover, cover_plus_matching,
                                  is_matching_cut_set, product_with_fixed,
                                  twin_expand_then_K2, verify_equivalence)
-from degratio.solver import find_matching_cut
+from degratio.solver import decide, find_matching_cut
 
 
 def test_double_cover_structure():
-    inst = bipartite_double_cover(complete(5), strict=True)
+    inst = bipartite_double_cover(complete(5))
     H = inst.graph
     assert H.n == 10 and H.num_edges == 2 * complete(5).num_edges
     assert regularity(H) == 4
@@ -33,9 +36,10 @@ def test_double_cover_of_odd_cycle_is_double_length_cycle():
     assert is_isomorphic(inst.graph, cycle(10))
 
 
-def test_double_cover_strict_bound():
-    with pytest.raises(PreconditionError):
-        bipartite_double_cover(cycle(5), strict=True)
+def test_double_cover_refuses_a_bipartite_source():
+    # the cover of a bipartite graph is two disjoint copies of it
+    with pytest.raises(PreconditionError, match="bipartite"):
+        bipartite_double_cover(build_named("cube"))
 
 
 def test_cover_plus_matching_structure():
@@ -66,11 +70,9 @@ def test_twin_expand_structure():
     assert all(H.degree(t) == 2 for t in twin_vertices)
 
 
-def test_twin_expand_strict_needs_34_biregular():
+def test_twin_expand_needs_a_bipartite_source():
     with pytest.raises(PreconditionError):
-        twin_expand_then_K2(cycle(6), strict=True)
-    with pytest.raises(PreconditionError):
-        twin_expand_then_K2(complete(4))  # not bipartite
+        twin_expand_then_K2(complete(4))
 
 
 def test_product_with_fixed_preconditions():
@@ -80,8 +82,6 @@ def test_product_with_fixed_preconditions():
     assert inst.claim.threshold == Fraction(4, 5)
     inst = product_with_fixed(cycle(6), complete(4))
     assert inst.claim.threshold == Fraction(5, 6)
-    with pytest.raises(PreconditionError):
-        product_with_fixed(cycle(6), complete(4), strict=True)  # degree < 4
 
 
 def test_is_matching_cut_set():
@@ -169,7 +169,7 @@ def test_verify_equivalence_searches_share_one_budget():
 
 def test_verify_equivalence_instances():
     checks = [
-        bipartite_double_cover(complete(5), strict=True),
+        bipartite_double_cover(complete(5)),
         bipartite_double_cover(cycle(5)),
         cover_plus_matching(complete_bipartite(3, 3)),
         cover_plus_matching(cycle(6)),
@@ -186,3 +186,91 @@ def test_twin_expand_k2_small_case():
     assert inst.graph.n == 8
     assert inst.claim.threshold == Fraction(3, 4)
     assert verify_equivalence(inst)
+
+
+@functools.cache
+def _small_sources(max_n=6):
+    """Every labelled connected graph with 2 <= n <= max_n, one per edge
+    set of K_n."""
+    graphs = []
+    for n in range(2, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            G = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if is_connected(G):
+                graphs.append(G)
+    return tuple(graphs)
+
+
+def test_every_claim_holds_on_every_small_source():
+    builders = {
+        "double_cover": bipartite_double_cover,
+        "cover_plus_matching": cover_plus_matching,
+        "twin_expand_K2": twin_expand_then_K2,
+        "product_fixed_H": lambda G: product_with_fixed(G, complete(4)),
+    }
+    accepted = dict.fromkeys(builders, 0)
+    for G in _small_sources():
+        for name, build in builders.items():
+            try:
+                inst = build(G)
+            except PreconditionError:
+                continue
+            accepted[name] += 1
+            assert verify_equivalence(inst), (name, G.edges())
+    # connected regular graphs: 91 not bipartite and 74 bipartite
+    assert accepted == {"double_cover": 91, "cover_plus_matching": 74,
+                        "twin_expand_K2": 3249, "product_fixed_H": 74}
+
+
+def test_double_cover_claim_by_enumeration():
+    covers = 0
+    for G in _small_sources():
+        try:
+            inst = bipartite_double_cover(G)
+        except PreconditionError:
+            continue
+        covers += 1
+        assert naive_matching_cut(inst.graph) or not naive_matching_cut(G), G.edges()
+    assert covers == 91
+
+
+def test_twin_expansion_claim_by_enumeration():
+    sources = [G for G in _small_sources(3) if bipartition_classes(G) is not None]
+    assert len(sources) == 4  # K2 and the three labelled P3
+    for G in sources:
+        inst = twin_expand_then_K2(G)
+        reaches = naive_q(inst.graph)[0] >= inst.claim.threshold
+        source_cut = naive_matching_cut(G)
+        assert source_cut or not reaches
+        regular = regularity(G) is not None
+        assert inst.claim.kind == ("cut_iff_q" if regular else "q_implies_cut")
+        if regular:
+            assert reaches == source_cut
+
+
+# the 4-regular circulant C8(1, 2)
+C8_12 = graph_from_edges(8, [(v, (v + s) % 8) for v in range(8) for s in (1, 2)])
+
+
+@pytest.mark.parametrize("G", [complete(4), C8_12], ids=["K4", "C8(1,2)"])
+def test_double_cover_converse_fails(G):
+    # neither source has a matching-cut, but each cover has one
+    inst = bipartite_double_cover(G)
+    assert not find_matching_cut(G).has_cut
+    assert find_matching_cut(inst.graph).has_cut
+    assert inst.claim.kind == "cut_implies_cut" and verify_equivalence(inst)
+
+
+@pytest.mark.parametrize("G", [build_named("claw"), path(3)], ids=["claw", "P3"])
+def test_twin_expansion_converse_fails_on_irregular_sources(G):
+    # the source has a matching-cut, but the gadget misses the threshold
+    inst = twin_expand_then_K2(G)
+    assert find_matching_cut(G).has_cut
+    assert not decide(inst.graph, inst.claim.threshold)
+    assert inst.claim.kind == "q_implies_cut" and verify_equivalence(inst)
+
+
+def test_twin_expansion_claim_kind_follows_regularity():
+    assert twin_expand_then_K2(complete_bipartite(4, 3)).claim.kind == "q_implies_cut"
+    assert twin_expand_then_K2(cycle(6)).claim.kind == "cut_iff_q"

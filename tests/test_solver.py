@@ -19,7 +19,7 @@ from degratio.errors import BudgetExceededError, CertificateError, \
 from degratio.formulas import class_lower_bound, edge_upper_bound, tree_q
 from degratio import (build_named, complete, complete_bipartite, cycle,
                       k_triangle, path)
-from degratio.graph import cartesian_product, graph_from_edges
+from degratio.graph import Graph, cartesian_product, graph_from_edges
 from degratio.ratios import (Bipartition, certify, crossing_edges, is_matching,
                              min_ratio, partition_quality, top_edge)
 from degratio.solver import (_mcs_order, _search, decide, find_matching_cut,
@@ -82,7 +82,7 @@ def test_twin_rule_matches_oracles_on_blow_ups(seed):
     yes = decide(G, q)
     assert yes and partition_quality(G, yes.witness).quality >= q
     assert not decide(G, q + Fraction(1, G.n * (G.n + 1)))
-    cert = find_matching_cut(G, use_product_rule=False)
+    cert = find_matching_cut(Graph(G.n, G.adj))
     assert cert.has_cut == naive_matching_cut(G)
     if cert.has_cut:
         assert is_matching(G, crossing_edges(G, cert.partition))
@@ -158,7 +158,7 @@ def test_both_undo_paths_match_oracles(dense):
         assert res.q == q
         assert partition_quality(G, res.optimal_partition).quality == q
         assert decide(G, q) and not decide(G, _next_candidate(G, q))
-        cert = find_matching_cut(G, use_product_rule=False)
+        cert = find_matching_cut(Graph(G.n, G.adj))
         assert cert.has_cut == naive_matching_cut(G)
         for _ in range(3):
             f = [rng.randint(0, (G.degree(v) + 3) // 2) for v in range(n)]
@@ -375,7 +375,7 @@ def test_matching_cut_requires_connected():
 def test_product_matching_cut_rule_both_directions():
     for G, H, P in product_pairs(max_product=24):
         rule = product_matching_cut(G, H)
-        direct = find_matching_cut(P, use_product_rule=False)
+        direct = find_matching_cut(Graph(P.n, P.adj))
         assert rule.has_cut == direct.has_cut, (G.name, H.name)
         if rule.has_cut:
             assert is_matching(P, crossing_edges(P, rule.partition))
