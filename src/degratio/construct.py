@@ -19,8 +19,8 @@ from itertools import combinations
 from .errors import CertificateError, ParameterError, PreconditionError
 from .formulas import (_lowbound, _theorem_classes, characterize_third,
                        characterize_two_fifths)
-from .graph import (Graph, components, cut_vertices, graph_from_edges,
-                    is_connected, regularity)
+from .graph import (Graph, cut_vertices, graph_from_edges, is_connected,
+                    low_link, regularity, root_subtrees)
 from .ratios import Bipartition, certify
 from .solver import DEFAULT_BUDGET, _search, solve_q
 
@@ -227,52 +227,30 @@ def _smallest_triangle(G: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _cycle_within(G: Graph, allowed: frozenset[int]) -> list[int] | None:
-    """Vertex list of some cycle of the subgraph induced by ``allowed``, or
-    None when that subgraph is a forest.
-
-    Peeling vertices with at most one neighbour left leaves the 2-core,
-    which is empty exactly on a forest.  Every core vertex has two core
-    neighbours, so a walk through the core that never steps straight back
-    closes a cycle of at least 3 vertices at its first repeat."""
-    core = set(allowed)
-    deg = {v: len(G.adj[v] & core) for v in core}
-    leaves = [v for v, d in deg.items() if d <= 1]
-    while leaves:
-        v = leaves.pop()
-        core.discard(v)
-        for u in G.adj[v]:
-            if u in core:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    leaves.append(u)
-    if not core:
-        return None
-    prev, v = -1, min(core)
-    walk: list[int] = []
-    at: dict[int, int] = {}  # vertex -> its position on the walk
-    while v not in at:
-        at[v] = len(walk)
-        walk.append(v)
-        prev, v = v, next(u for u in G.adj[v] if u in core and u != prev)
-    return walk[at[v]:]
+def _tree_path(dfs, u: int, v: int) -> list[int]:
+    """The path from u to v in the DFS forest of one :func:`low_link` pass
+    ``dfs``, for u and v in one tree: up from u to the first vertex whose
+    subtree holds v, then down to v."""
+    disc, _, parent, end = dfs
+    up = [u]
+    while not disc[up[-1]] <= disc[v] < end[up[-1]]:
+        up.append(parent[up[-1]])
+    down = [v]
+    while down[-1] != up[-1]:
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
-def _tree_path(G: Graph, comp: frozenset[int], u: int, v: int) -> list[int]:
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        if x == v:
-            break
-        for y in sorted(G.adj[x]):
-            if y in comp and y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [v]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
+def _cycle(G: Graph, dfs) -> list[int] | None:
+    """Vertex list of some cycle of G, from its :func:`low_link` pass
+    ``dfs``, or None when G is a forest.  An edge xy outside the DFS tree
+    joins x to an ancestor y, so it closes the tree path from x to y."""
+    disc, _, parent, _ = dfs
+    for x, nx in enumerate(G.adj):
+        for y in nx:
+            if disc[y] < disc[x] and y != parent[x]:
+                return _tree_path(dfs, x, y)
+    return None
 
 
 def _proof_candidates(G: Graph, tri: tuple[int, int, int]):
@@ -280,16 +258,18 @@ def _proof_candidates(G: Graph, tri: tuple[int, int, int]):
     3/7 threshold; each candidate is validated by the caller."""
     tset = frozenset(tri)
     rest = frozenset(range(G.n)) - tset
-
-    if rest:
-        cyc = _cycle_within(G, rest)
-        if cyc is not None:
-            yield ("triangle-cycle", tset, frozenset(cyc))
-            return  # the remaining cases assume an acyclic remainder
-
-    # the components of G[rest]; the triangle's vertices are isolated here
+    # G - T, with the triangle's vertices kept isolated: one DFS finds its
+    # cycles, its components and the paths in them
     inner = graph_from_edges(G.n, [e for e in G.edges() if tset.isdisjoint(e)])
-    comps = [comp for comp in components(inner) if comp <= rest]
+    dfs = low_link(inner)
+
+    cyc = _cycle(inner, dfs)
+    if cyc is not None:
+        yield ("triangle-cycle", tset, frozenset(cyc))
+        return  # the remaining cases assume an acyclic remainder
+
+    disc, _, parent, end = dfs
+    comps = [comp for comp in root_subtrees(disc, parent, end) if comp <= rest]
 
     def leaves(comp):
         return sorted(v for v in comp if sum(1 for u in G.adj[v] if u in comp) == 1)
@@ -302,7 +282,7 @@ def _proof_candidates(G: Graph, tri: tuple[int, int, int]):
     for comp in comps:
         low = sorted(v for v in comp if G.closed_degree(v) <= 4)
         for u, v in combinations(low, 2):
-            yield ("two-low-path", tset, frozenset(_tree_path(G, comp, u, v)))
+            yield ("two-low-path", tset, frozenset(_tree_path(dfs, u, v)))
 
     # a component with three leaves: a cycle through one triangle vertex
     for comp in comps:
@@ -318,7 +298,7 @@ def _proof_candidates(G: Graph, tri: tuple[int, int, int]):
                     for v in lvs:
                         if v in (u, w):
                             continue
-                        P = frozenset(_tree_path(G, comp, v, w))
+                        P = frozenset(_tree_path(dfs, v, w))
                         yield ("three-leaves", P | {c}, ab | {u})
 
     paths = [comp for comp in comps if is_path(comp)]

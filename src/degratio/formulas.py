@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BudgetExceededError, CertificateError, NoApplicableRule,
-                     ParameterError, PreconditionError)
-from .graph import (Graph, cartesian_product, is_connected, is_tree, regularity,
-                    split_side, two_coloring)
+from .errors import (CertificateError, NoApplicableRule, ParameterError,
+                     PreconditionError)
+from .graph import (Graph, cartesian_product, is_connected, is_tree, low_link,
+                    regularity, subtree_sides, two_coloring)
 from .named import build_named, contains_subgraph, cycle, is_isomorphic
 from .ratios import Bipartition, certify, top_edge
-from .solver import DEFAULT_BUDGET, find_matching_cut, lift_partition, solve_q
+from .solver import (DEFAULT_BUDGET, _in_turn, find_matching_cut, lift_partition,
+                     solve_q)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,7 @@ def class_lower_bound(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBound:
         if Gf.n <= 12 and Hf.n <= 12:
             # the two factor solves draw on the one budget
             left = solve_q(Gf, budget=budget)
-            try:
-                right = solve_q(Hf, budget=budget - left.explored)
-            except BudgetExceededError as exc:
-                exc.explored += left.explored
-                raise
+            right = _in_turn(left.explored, budget, solve_q, Hf)
             candidates.append(LowerBound(max(left.q, right.q), True, ("prodmax",)))
 
     best = max(candidates, key=lambda lb: (lb.value, lb.strict))
@@ -145,11 +142,16 @@ def class_lower_bound(G: Graph, budget: int = DEFAULT_BUDGET) -> LowerBound:
 
 def tree_q(T: Graph) -> FormulaVerdict:
     """Exact value for trees: the edge upper bound is attained by splitting
-    at a maximizing edge."""
+    at a maximizing edge uv, with u on side 1.  Every edge of a tree is a
+    DFS tree edge, and the child's subtree is its side."""
     if not is_tree(T):
         raise PreconditionError("tree formula needs a tree")
     (u, v), top = top_edge(T)
-    witness = Bipartition.from_side1(T.n, split_side(T, u, v))
+    disc, _, parent, end = low_link(T)
+    if parent[u] == v:
+        witness = Bipartition(subtree_sides(disc, end, u))
+    else:
+        witness = Bipartition(subtree_sides(disc, end, v)).flipped()
     return FormulaVerdict(Fraction(top - 1, top), "tree", witness)
 
 
@@ -207,7 +209,7 @@ def four_regular_q(G: Graph, budget: int = DEFAULT_BUDGET) -> FormulaVerdict:
     cert = find_matching_cut(G, budget=budget)
     if cert.has_cut:
         return FormulaVerdict(Fraction(4, 5), "4reg", cert.partition)
-    res = solve_q(G, budget=budget)
+    res = _in_turn(cert.explored, budget, solve_q, G)
     if res.q != Fraction(3, 5):
         raise CertificateError(f"4-regular dichotomy violated: solver says {res.q}")
     return FormulaVerdict(Fraction(3, 5), "4reg", res.optimal_partition)
@@ -232,11 +234,11 @@ def _product_kreg_tree(P: Graph, which: str) -> FormulaVerdict:
     T, R = P.factors if which == "left" else P.factors[::-1]
     k = regularity(R)
     # (d(x) + k)/(d[x] + k) grows with d[x], so the tree's top edge is the
-    # best split
-    (u, v), top = top_edge(T)
-    t_part = Bipartition.from_side1(T.n, split_side(T, u, v))
+    # best split; tree_q's value (top - 1)/top is in lowest terms
+    tree = tree_q(T)
+    top = tree.value.denominator
     return FormulaVerdict(Fraction(top - 1 + k, top + k), "prodkregtree",
-                          lift_partition(P, t_part, which))
+                          lift_partition(P, tree.witness, which))
 
 
 def product_cubic_q(G: Graph, H: Graph,

@@ -1,6 +1,7 @@
 """Simple undirected graphs: representation, builders, cartesian products
-with fiber provenance, one low-link pass that finds bridges, cut vertices
-and components, one two-colouring, and the ``p``/``e`` text format.  The
+with fiber provenance, one low-link pass whose discovery times and subtree
+ends give the bridges and their sides, the cut vertices and the
+components, one two-colouring, and the ``p``/``e`` text format.  The
 named constructions and pattern search live in ``named``, which a solve
 does not import.
 
@@ -116,23 +117,10 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
 
 
 def components(G: Graph) -> list[frozenset[int]]:
-    seen = [False] * G.n
-    out = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in G.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.add(u)
-                    stack.append(u)
-        out.append(frozenset(comp))
-    return out
+    """The vertex sets of G's components, in order of their lowest vertex,
+    read off one :func:`low_link` pass as the roots' subtrees."""
+    disc, _, parent, end = low_link(G)
+    return root_subtrees(disc, parent, end)
 
 
 def is_connected(G: Graph) -> bool:
@@ -149,21 +137,22 @@ def is_connected(G: Graph) -> bool:
     return False not in seen
 
 
-def low_link(G: Graph) -> tuple[list[int], list[int], list[int]]:
+def low_link(G: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     """One iterative depth-first pass over every component, started from
-    the lowest unvisited vertex: the discovery time, low point and DFS-tree
-    parent of each vertex, the parent being -1 at a root.
+    the lowest unvisited vertex: the discovery time, low point, DFS-tree
+    parent and subtree end of each vertex, the parent being -1 at a root.
 
     A vertex's low point is the earliest discovery time it reaches by tree
     edges down and one back edge.  A tree edge pv is a bridge iff
     low[v] > disc[p], and a non-root p is a cut vertex iff some child v has
-    low[v] >= disc[p].  Each component is discovered in one run of times,
-    so the root 0's component is the vertices discovered before the next
-    root."""
+    low[v] >= disc[p].  A subtree is discovered in one run of times: v's
+    subtree is the x with disc[v] <= disc[x] < end[v].  So a root's subtree
+    is its component, and a bridge pv's side at v is v's subtree."""
     adj = G.adj
     disc = [-1] * G.n
     low = [0] * G.n
     parent = [-1] * G.n
+    end = [0] * G.n
     timer = 0
     for root in range(G.n):
         if disc[root] >= 0:
@@ -184,17 +173,35 @@ def low_link(G: Graph) -> tuple[list[int], list[int], list[int]]:
                     low[v] = disc[u]
             else:
                 stack.pop()
+                end[v] = timer
                 p = parent[v]
                 if p >= 0 and low[v] < low[p]:
                     low[p] = low[v]
-    return disc, low, parent
+    return disc, low, parent, end
+
+
+def subtree_sides(disc: list[int], end: list[int], v: int) -> tuple[int, ...]:
+    """Sides from one :func:`low_link` pass: 1 on v's DFS subtree, 2 on
+    every other vertex."""
+    lo, hi = disc[v], end[v]
+    return tuple([1 if lo <= t < hi else 2 for t in disc])
+
+
+def root_subtrees(disc: list[int], parent: list[int],
+                  end: list[int]) -> list[frozenset[int]]:
+    """The subtrees of the roots of one :func:`low_link` pass, that is the
+    components, each a slice of the vertices in discovery order."""
+    order = [0] * len(disc)
+    for v, t in enumerate(disc):
+        order[t] = v
+    return [frozenset(order[disc[r]:end[r]]) for r, p in enumerate(parent) if p < 0]
 
 
 def cut_vertices(G: Graph) -> frozenset[int]:
     """The cut vertices of G, from one :func:`low_link` pass: a root with
     two or more DFS children, or a non-root p with a child v that reaches
     no vertex above p (low[v] >= disc[p])."""
-    disc, low, parent = low_link(G)
+    disc, low, parent, _ = low_link(G)
     cuts: set[int] = set()
     children = [0] * G.n
     for v, p in enumerate(parent):
@@ -205,20 +212,6 @@ def cut_vertices(G: Graph) -> frozenset[int]:
         elif low[v] >= disc[p]:
             cuts.add(p)
     return frozenset(cuts | {r for r, c in enumerate(children) if c >= 2})
-
-
-def split_side(G: Graph, u: int, v: int) -> frozenset[int]:
-    """The vertices reachable from u without passing through v: for a
-    bridge uv, such as a tree edge, u's side once the edge is removed."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in G.adj[w]:
-            if x != v and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(seen)
 
 
 def is_tree(G: Graph) -> bool:

@@ -20,7 +20,7 @@ from .graph import (Graph, cartesian_product, fiber, graph_from_edges,
                     is_connected, regularity, two_coloring)
 from .named import complete
 from .ratios import is_matching
-from .solver import DEFAULT_BUDGET, decide, find_matching_cut
+from .solver import DEFAULT_BUDGET, _in_turn, decide, find_matching_cut
 
 
 @dataclass(frozen=True)
@@ -195,15 +195,11 @@ def verify_equivalence(inst: GadgetInstance, budget: int = DEFAULT_BUDGET) -> bo
     kind = inst.claim.kind
     if kind in ("cut_implies_cut", "cut_iff_q", "q_implies_cut"):
         left = find_matching_cut(inst.source, budget=budget)
-        try:
-            if kind == "cut_implies_cut":
-                right = find_matching_cut(inst.graph, budget=budget - left.explored)
-            else:
-                right = decide(inst.graph, inst.claim.threshold,
-                               budget=budget - left.explored)
-        except BudgetExceededError as exc:
-            exc.explored += left.explored
-            raise
+        if kind == "cut_implies_cut":
+            right = _in_turn(left.explored, budget, find_matching_cut, inst.graph)
+        else:
+            right = _in_turn(left.explored, budget, decide, inst.graph,
+                             inst.claim.threshold)
         source, gadget = left.has_cut, bool(right)
         # on bools, a <= b is "a implies b"
         return {"cut_implies_cut": source <= gadget, "cut_iff_q": source == gadget,

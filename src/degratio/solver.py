@@ -6,11 +6,12 @@ degree-constrained partitions of ``construct`` use the same search.
 the budget bounds the whole call and ``explored`` counts all of its work.
 A disconnected graph needs no search: a component splits it with quality 1.
 ``solve_q`` makes one low-link pass before its search, which finds the
-components and every bridge.  A split at a bridge uv cuts only the edge uv,
-so its quality is exactly (t - 1)/t for t = min(d[u], d[v]).  The bridge
-with the largest t gives the first incumbent; when t is the top of the
-edge upper bound (top - 1)/top, that split is optimal and no search runs.
-Otherwise the search starts from that incumbent, or from 0/1 on a
+components and every bridge; both kinds of split are DFS subtrees of that
+pass, so no second flood builds them.  A split at a bridge uv cuts only
+the edge uv, so its quality is exactly (t - 1)/t for t = min(d[u], d[v]).
+The bridge with the largest t gives the first incumbent; when t is the top
+of the edge upper bound (top - 1)/top, that split is optimal and no search
+runs.  Otherwise the search starts from that incumbent, or from 0/1 on a
 bridgeless graph, under which the caps allow every partition.  It finds
 better incumbents at the leaves and stops at the first leaf that meets the
 edge upper bound.  ``decide`` stops at its first leaf.
@@ -98,8 +99,8 @@ from numbers import Rational
 
 from .errors import (BudgetExceededError, CertificateError, ParameterError,
                      PreconditionError)
-from .graph import (Graph, cartesian_product, components, is_connected,
-                    low_link, split_side)
+from .graph import (Graph, cartesian_product, is_connected, low_link,
+                    subtree_sides)
 from .ratios import (Bipartition, MatchingCutCertificate, certify,
                      crossing_edges, is_matching, min_ratio, top_edge)
 
@@ -336,35 +337,46 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
         queue = [order[i] << 2 | 2]
 
 
+def _in_turn(spent: int, budget: int, search, *args):
+    """``search(*args, budget=budget - spent)`` for a search that runs after
+    others which spent ``spent`` of one budget; a
+    :class:`BudgetExceededError` it raises counts their work too."""
+    try:
+        return search(*args, budget=budget - spent)
+    except BudgetExceededError as exc:
+        exc.explored += spent
+        raise
+
+
 def _component_split(G: Graph) -> Bipartition | None:
-    """A partition with one component on side 1 when G is disconnected; it
-    has quality 1, which no partition beats.  None for a connected graph."""
+    """A partition with vertex 0's component on side 1 when G is
+    disconnected; it has quality 1, which no partition beats.  None for a
+    connected graph."""
     if is_connected(G):
         return None
-    return Bipartition.from_side1(G.n, components(G)[0])
+    disc, _, _, end = low_link(G)
+    return Bipartition(subtree_sides(disc, end, 0))
 
 
 def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of the degree ratio over all nontrivial bipartitions.
 
-    One low-link pass finds the components and the bridges.  A disconnected
-    graph answers at once with a component.  A split at a bridge uv cuts
-    only the edge uv, so its quality is exactly (t - 1)/t for
-    t = min(d[u], d[v]); the bridge with the largest t gives the first
-    incumbent, and when t is the top of the edge bound it is the answer.
-    Otherwise one branch and bound runs from that incumbent, or from 0/1
-    on a bridgeless graph.  ``method`` is ``"upper_bound_met"`` when the
-    run stopped at a partition that meets an upper bound, the edge bound
-    (top - 1)/top or 1 for a disconnected graph, and ``"pruned_search"``
-    when the search was exhausted.  The search's leaves are scored from its
-    own neighbor counts, so a witness it found is certified before it is
-    returned.
+    One low-link pass finds the components and the bridges, and each split
+    is a DFS subtree of that pass.  A disconnected graph answers at once
+    with a component.  A split at a bridge uv cuts only the edge uv, so its
+    quality is exactly (t - 1)/t for t = min(d[u], d[v]); the bridge with
+    the largest t gives the first incumbent, and when t is the top of the
+    edge bound it is the answer.  Otherwise one branch and bound runs from
+    that incumbent, or from 0/1 on a bridgeless graph.  ``method`` is
+    ``"upper_bound_met"`` when the run stopped at a partition that meets an
+    upper bound, the edge bound (top - 1)/top or 1 for a disconnected
+    graph, and ``"pruned_search"`` when the search was exhausted.  The
+    search's leaves are scored from its own neighbor counts, so a witness it
+    found is certified before it is returned.
     """
-    disc, low, parent = low_link(G)
-    if parent.count(-1) > 1:
-        # the root 0's component is what is discovered before the next root
-        first = disc[parent.index(-1, 1)]
-        split = Bipartition(tuple([1 if t < first else 2 for t in disc]))
+    disc, low, parent, end = low_link(G)
+    if end[0] < G.n:  # vertex 0's DFS subtree, its component, misses a vertex
+        split = Bipartition(subtree_sides(disc, end, 0))
         return SolveResult(Fraction(1), split, 0, "upper_bound_met")
     top = top_edge(G)[1]
     d1 = [len(a) + 1 for a in G.adj]
@@ -379,7 +391,7 @@ def solve_q(G: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     t, p, v = max(((min(d1[p], d1[v]), p, v) for v, p in enumerate(parent)
                    if p >= 0 and low[v] > disc[p]), default=(0, 0, 0))
     if t:
-        best_part = Bipartition.from_side1(G.n, split_side(G, v, p))
+        best_part = Bipartition(subtree_sides(disc, end, v))  # v's side
         bk, bd = min_ratio(G, best_part.sides)
         if bk * top == (top - 1) * bd:
             return SolveResult(Fraction(bk, bd), best_part, 0, "upper_bound_met")
@@ -450,11 +462,7 @@ def _cut_partition(G: Graph, budget: int) -> tuple[int, Bipartition | None]:
         return explored, None if sides is None else Bipartition(sides)
     spent = 0
     for which, F in zip(("left", "right"), G.factors):
-        try:
-            explored, part = _cut_partition(F, budget - spent)
-        except BudgetExceededError as exc:
-            exc.explored += spent
-            raise
+        explored, part = _in_turn(spent, budget, _cut_partition, F)
         spent += explored
         if part is not None:
             return spent, lift_partition(G, part, which)

@@ -12,8 +12,9 @@ from conftest import naive_q
 from degratio.catalog import (base_catalog, cubic_catalog, product_pairs,
                               random_connected_graph)
 from degratio import formulas
-from degratio.errors import (CertificateError, NoApplicableRule,
-                             ParameterError, PreconditionError)
+from degratio.errors import (BudgetExceededError, CertificateError,
+                             NoApplicableRule, ParameterError,
+                             PreconditionError)
 from degratio.formulas import (characterize_third, characterize_two_fifths,
                                class_lower_bound, clique_q, closed_form,
                                cubic_q, edge_upper_bound, four_regular_q,
@@ -26,7 +27,7 @@ from degratio.graph import (cartesian_product, graph_from_edges, is_tree,
                             regularity)
 from degratio.named import contains_subgraph
 from degratio.ratios import Bipartition, certify, partition_quality, top_edge
-from degratio.solver import solve_q
+from degratio.solver import find_matching_cut, solve_q
 
 
 def _check_verdict(G, verdict, expected):
@@ -117,6 +118,19 @@ def test_four_regular_trichotomy():
         v = four_regular_q(G)
         _check_verdict(G, v, expected)
         assert solve_q(G).q == expected
+
+
+def test_four_regular_q_searches_share_one_budget():
+    # C11(1, 2) has no matching-cut, so four_regular_q searches for one and
+    # then solves: both searches draw on the one budget, and exhaustion
+    # counts the work of both
+    G = graph_from_edges(11, [(i, (i + d) % 11) for i in range(11) for d in (1, 2)])
+    total = find_matching_cut(G).explored + solve_q(G).explored
+    for fn in (four_regular_q, closed_form):
+        with pytest.raises(BudgetExceededError) as info:
+            fn(G, budget=total - 1)
+        assert info.value.explored == total
+        assert fn(G, budget=total).value == Fraction(3, 5)
 
 
 def test_product_cubic_values():

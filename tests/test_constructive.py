@@ -22,7 +22,7 @@ from degratio.errors import (BudgetExceededError, CertificateError,
 from degratio.formulas import two_fifths_family
 from degratio import build_named, complete, cycle, is_isomorphic
 from degratio.graph import (components, cut_vertices, graph_from_edges,
-                            is_connected)
+                            is_connected, low_link)
 from degratio.ratios import Bipartition, partition_quality
 
 
@@ -170,7 +170,7 @@ def test_cycle_within_finds_a_cycle_unless_a_forest():
                                    if u in allowed and v in allowed])
         comps = sum(1 for c in components(sub) if c <= allowed)
         forest = sub.num_edges == len(allowed) - comps
-        cyc = construct._cycle_within(G, allowed)
+        cyc = construct._cycle(sub, low_link(sub))
         answers.add(cyc is None)
         if forest:
             assert cyc is None, (G.edges(), allowed)

@@ -15,7 +15,8 @@ from degratio import (build_named, complete, complete_bipartite, cycle,
 from degratio.graph import (Graph, bipartition_classes, cartesian_product,
                             complement, components, cut_vertices, emit_graph,
                             fiber, graph_from_edges, is_connected, is_tree,
-                            low_link, parse_graph, regularity, two_coloring)
+                            low_link, parse_graph, regularity, subtree_sides,
+                            two_coloring)
 from degratio.named import contains_subgraph
 from degratio.ratios import Bipartition, partition_quality
 from degratio.reductions import cover_plus_matching, verify_equivalence
@@ -240,25 +241,43 @@ def test_cut_vertices_match_brute_force():
         assert cut_vertices(G) == expected, (G.edges(), expected)
 
 
+def _reach(G, v):
+    """The vertices reachable from v, by a flood fill."""
+    seen, stack = {v}, [v]
+    while stack:
+        for u in G.adj[stack.pop()] - seen:
+            seen.add(u)
+            stack.append(u)
+    return seen
+
+
 def test_low_link_finds_bridges_and_components():
     # a tree edge pv is a bridge iff low[v] > disc[p], and an edge is a
-    # bridge iff deleting it adds a component; each root starts a component,
-    # and the root 0's component is what is discovered before the next root
+    # bridge iff deleting it adds a component; v's subtree is the x with
+    # disc[v] <= disc[x] < end[v], so each root's subtree is its component
+    # and a bridge's side at its child is the child's subtree
     for G in _mixed_graphs(random.Random(6)):
-        disc, low, parent = low_link(G)
-        found = {frozenset((p, v)) for v, p in enumerate(parent)
+        disc, low, parent, end = low_link(G)
+
+        def subtree(v):
+            assert subtree_sides(disc, end, v) == tuple(
+                [1 if disc[v] <= disc[x] < end[v] else 2 for x in range(G.n)])
+            return {x for x in range(G.n) if disc[v] <= disc[x] < end[v]}
+
+        found = {frozenset((p, v)): subtree(v) for v, p in enumerate(parent)
                  if p >= 0 and low[v] > disc[p]}
         whole = _component_count(G, range(G.n))
-        expected = set()
+        expected = {}
         for u, v in G.edges():
             H = graph_from_edges(G.n, [e for e in G.edges() if e != (u, v)])
             if _component_count(H, range(G.n)) > whole:
-                expected.add(frozenset((u, v)))
+                child = v if parent[v] == u else u
+                expected[frozenset((u, v))] = _reach(H, child)
         assert found == expected, G.edges()
         roots = [v for v, p in enumerate(parent) if p < 0]
         assert roots[0] == 0 and len(roots) == whole
-        first = disc[roots[1]] if len(roots) > 1 else G.n
-        assert {v for v in range(G.n) if disc[v] < first} == components(G)[0]
+        assert [subtree(r) for r in roots] == [_reach(G, r) for r in roots]
+        assert components(G) == [frozenset(_reach(G, r)) for r in roots]
 
 
 def test_cartesian_product_structure():

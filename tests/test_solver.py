@@ -517,21 +517,21 @@ def test_bridge_incumbent_matches_oracle():
                                _random_tree(random.Random(3), 5000)],
                          ids=["C3000", "K30_30", "random-tree-5000"])
 def test_bridge_incumbent_costs_one_graph_pass(G, monkeypatch):
-    # one low-link pass finds the components and every bridge, and at most
-    # one flood fill builds the split; checking each top edge with its own
-    # flood fill would be quadratic on a bridgeless graph
+    # one low-link pass finds the components and every bridge, and the
+    # bridge split is read off it, with no other traversal; checking each
+    # top edge with its own flood fill would be quadratic on a bridgeless
+    # graph
     calls = []
-    for module, fn in [(solver, solver.split_side), (solver, solver.low_link),
-                       (graph, graph.low_link), (graph, graph.components),
-                       (solver, solver.components)]:
-        monkeypatch.setattr(module, fn.__name__, lambda *args, _fn=fn:
-                            calls.append(_fn.__name__) or _fn(*args))
+    for name in ("low_link", "components", "is_connected", "cut_vertices",
+                 "two_coloring"):
+        fn = getattr(graph, name)
+        wrapped = lambda *args, _fn=fn: calls.append(_fn.__name__) or _fn(*args)
+        monkeypatch.setattr(graph, name, wrapped)
+        if hasattr(solver, name):
+            monkeypatch.setattr(solver, name, wrapped)
     res = solve_q(G)
-    assert calls.count("low_link") == 1 and calls.count("components") == 0
-    # a bridgeless graph gets no flood fill, and a tree exactly one
-    is_tree = G.num_edges == G.n - 1
-    assert calls.count("split_side") == is_tree
-    if is_tree:
+    assert calls == ["low_link"]
+    if G.num_edges == G.n - 1:  # a tree: its best bridge meets the edge bound
         assert res.explored == 0
 
 
