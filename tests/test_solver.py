@@ -199,6 +199,55 @@ def test_leaf_counts_are_exact_on_both_undo_paths(dense):
     assert leaves > 1000
 
 
+def _feasible_partitions(G, cap) -> set[tuple[int, ...]]:
+    """Every nontrivial partition with vertex 0 on side 1 in which each
+    vertex v has at most cap[v] neighbors across, by brute force."""
+    n = G.n
+    masks = [sum(1 << u for u in G.adj[v]) for v in range(n)]
+    found = set()
+    for low in range(1, 1 << (n - 1)):
+        two = low << 1  # the vertices on side 2; vertex 0 stays on side 1
+        one = ~two
+        if all((masks[v] & (one if two >> v & 1 else two)).bit_count() <= cap[v]
+               for v in range(n)):
+            found.add(tuple([2 if two >> v & 1 else 1 for v in range(n)]))
+    return found
+
+
+@pytest.mark.parametrize("caps", ["decide", "solve", "demands"])
+def test_pruning_keeps_every_feasible_leaf(caps):
+    # with fixed caps and no twins, the leaves of an exhausted search are
+    # exactly the partitions that meet the caps: every pruning rule, the pair
+    # rule of the copy path included, may cut only branches without one.
+    # The caps are those of decide at q, those of solve_q once its incumbent
+    # is q (no partition beats q, so no leaf), and random degree demands
+    rng = random.Random({"decide": 21, "solve": 22, "demands": 23}[caps])
+    checked = total = 0
+    while checked < 20:
+        n = rng.randint(9, 13)
+        G = random_connected_graph(rng, n, rng.uniform(0.45, 0.8))
+        closed = {G.adj[v] | {v} for v in range(n)}
+        if n * n > 8 * G.num_edges or len({G.adj[v] for v in range(n)}) < n \
+                or len(closed) < n:
+            continue  # the sparse undo path, or twins
+        d1 = [G.degree(v) + 1 for v in range(n)]
+        q = solve_q(G).q
+        num, den = q.numerator, q.denominator
+        if caps == "decide":
+            cap = [d * (den - num) // den for d in d1]
+        elif caps == "solve":
+            cap = [(d * (den - num) - 1) // den for d in d1]
+        else:
+            cap = [G.degree(v) - rng.randint(0, (G.degree(v) + 3) // 2) for v in range(n)]
+        leaves = []
+        _search(G, cap, 1 << 30, lambda sides, same: leaves.append(sides))
+        expected = _feasible_partitions(G, cap)
+        assert len(leaves) == len(set(leaves)) and set(leaves) == expected, (G.adj, cap)
+        checked += 1
+        total += len(expected)
+    assert (total == 0) == (caps == "solve")
+
+
 def test_solve_q_certifies_a_witness_its_search_found(monkeypatch):
     # a leaf scored from the search's counts is certified once; the bridge
     # and component splits are scored by min_ratio itself, and so is the
@@ -273,12 +322,14 @@ def test_mcs_order_matches_reference(n, data):
     (random_connected_graph(random.Random(5), 36, 0.3), Fraction(5, 9)),
 ])
 def test_propagation_keeps_the_search_small(G, q):
-    # the search visits 58,964 and 19,200 nodes here; in BFS order without
-    # propagation it visited 183,553 and 443,217.  The bound is also the
-    # budget, so a broken propagation fails fast instead of running for hours.
-    res = solve_q(G, budget=100_000)
+    # the search visits 12,802 and 13,133 nodes here; without the pair rule
+    # it visited 58,964 and 19,200, and in BFS order without propagation
+    # 183,553 and 443,217.  The bound is also the budget, so a broken
+    # propagation fails fast instead of running for hours.
+    bound = {29: 20_000, 36: 16_000}[G.n]
+    res = solve_q(G, budget=bound)
     assert res.q == q and res.method == "pruned_search"
-    assert res.explored < 100_000
+    assert res.explored < bound
 
 
 @pytest.mark.parametrize("G", [path(16), cycle(9), build_named("prism")])
