@@ -173,8 +173,6 @@ def cmd_bound(args) -> int:
                      f"(quality {format_ratio(w.quality)}, rule {w.rule})")
         if w.quality > lower:  # any partition's quality is a lower bound
             lower, strict = w.quality, False
-    except PreconditionError:
-        pass
     except BudgetExceededError as exc:
         # both printed bounds stay exact; only the witness is missing
         payload["witness"] = None

@@ -55,10 +55,6 @@ class Bipartition:
         return cls(tuple([1 if v in side1 else 2 for v in range(n)]))
 
     @classmethod
-    def from_mask(cls, n: int, mask: int) -> "Bipartition":
-        return cls(tuple([1 if mask >> v & 1 else 2 for v in range(n)]))
-
-    @classmethod
     def from_string(cls, text: str) -> "Bipartition":
         try:
             return cls(tuple([int(c) for c in text.strip()]))

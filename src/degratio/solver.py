@@ -250,11 +250,13 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     increment is made before a conflict is reported, so this restores the
     counts exactly.
 
-    The pair rule runs only on the copy path, from the first backtrack on,
-    so a search that reaches its first leaf without one (most "yes" answers
-    of ``decide``) pays one flag test per decision.  When it is armed, the
-    search builds int adjacency masks, and each decision saves the mask of
-    free vertices with its counts.  At each fixpoint the rule scans the
+    The pair rule runs only on the copy path.  There the search builds int
+    adjacency masks when it starts, keeps the mask of free vertices exact at
+    each assignment, and each decision saves it with its counts.  Before the
+    first backtrack the rule has no pair to test: every decision tries side
+    1 first, and every rule that forces a vertex onto side s starts from a
+    vertex already on side s, so side 2 stays empty until a backtrack
+    decides a vertex onto it.  At each fixpoint the rule scans the
     trail for candidates, placed vertices whose slack r is below their free
     neighbor count f (a saturated vertex has f = 0 there), and counts the
     free common neighbors of a pair only when r_u + r_x <= min(f_u, f_x).
@@ -299,11 +301,16 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
     same = (None, same1, same2)
     trail: list[int] = []
     # decisions with side 2 left to try: (trail length, position[, counts,
-    # free mask]); the free mask is None until the pair rule is armed
+    # free mask]), the last two on the copy path only
     levels = []
-    armed = False  # the pair rule, on the copy path from the first backtrack
-    masks: list[int] = []
-    free = seen = 0  # the free vertices as a bit mask, up to trail[:seen]
+    masks: list[int] = []  # the pair rule's neighbor masks, copy path only
+    if copy:
+        for a in adjl:
+            mask = 0
+            for w in a:
+                mask |= 1 << w
+            masks.append(mask)
+    free = (1 << n) - 1  # the free vertices, kept on the copy path only
     explored = 0
     i = 0
     queue = [order[0] << 2 | 1]
@@ -334,6 +341,8 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                 break
             side[v] = s
             trail.append(v)
+            if copy:
+                free ^= 1 << v
             ss = same[s]
             for u in adjl[v]:
                 c = ss[u] + 1
@@ -358,15 +367,12 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
         if ok:
             while i < n and side[order[i]]:
                 i += 1
-            if i < n and armed:
+            if i < n and copy:
                 # the pair rule: u on side 1 and x on side 2 with slacks r,
                 # free neighbor counts f and k free common neighbors, where
                 # k <= min(f_u, f_x); a vertex with g = f - r > 0 is a
                 # candidate, and a pair is counted only when
                 # r_u + r_x <= min(f_u, f_x), i.e. r_x <= g_u and r_u <= g_x
-                for v in trail[seen:]:
-                    free ^= 1 << v
-                seen = len(trail)
                 ones, twos = [], []
                 for v in trail:
                     if side[v] == 1:
@@ -402,8 +408,8 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
                     continue  # propagate the forced assignments
             if ok:
                 if i < n:
-                    levels.append((len(trail), i, same1[:], same2[:], free if armed
-                                   else None) if copy else (len(trail), i))
+                    levels.append((len(trail), i, same1[:], same2[:], free)
+                                  if copy else (len(trail), i))
                     queue = [order[i] << 2 | 1]
                     continue
                 if 2 in side:
@@ -417,18 +423,6 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
             for v in trail[depth:]:
                 side[v] = 0
             del trail[depth:]
-            if free is None:  # saved before the pair rule was armed
-                if not armed:
-                    armed = True
-                    for a in adjl:
-                        mask = 0
-                        for w in a:
-                            mask |= 1 << w
-                        masks.append(mask)
-                free = (1 << n) - 1
-                for v in trail:
-                    free ^= 1 << v
-            seen = depth
         else:
             depth, i = levels.pop()
             while len(trail) > depth:

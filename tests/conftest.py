@@ -32,7 +32,8 @@ def naive_q(G: Graph) -> tuple[Fraction, Bipartition]:
                 worst = r
         if best is None or worst > best:
             best, best_mask = worst, mask
-    return best, Bipartition.from_mask(G.n, best_mask)
+    return best, Bipartition.from_side1(
+        G.n, [v for v in range(G.n) if best_mask >> v & 1])
 
 
 def naive_matching_cut(G: Graph) -> bool:

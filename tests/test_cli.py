@@ -1,5 +1,6 @@
 """CLI behavior: commands, formats, exit codes, and JSON reports."""
 
+import io
 import json
 import os
 import re
@@ -168,6 +169,27 @@ def test_generate_precondition_exit(capsys):
     code, _, err = run(capsys, "generate", "product_fixed_H", "--named", "C6",
                        "--fixed", "C4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, stdin, budget, code, expected", [
+    (["solve", "-"], "p 3 3\ne 1 2\ne 2 3\ne 1 3\n", None, 0, "q = 1/3"),
+    (["solve"], "", None, 1, "an input file (or -) or --named is required"),
+    (["solve", "--named", "K5"], "", "many", 1, "bad DEGRATIO_BUDGET value"),
+    (["generate", "product_fixed_H", "--named", "C6"], "", None, 1,
+     "product_fixed_H needs --fixed"),
+    (["generate", "double_cover", "--named", "C3"], "", None, 0,
+     '"construction": "double_cover"'),
+    (["bound", "-"], "p 4 2\ne 1 2\ne 3 4\n", None, 2,
+     "edge upper bound needs a connected graph"),
+], ids=["stdin", "no-input", "bad-env-budget", "no-fixed-factor", "no-out",
+        "bound-disconnected"])
+def test_input_and_option_paths(argv, stdin, budget, code, expected, capsys,
+                                monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    if budget is not None:
+        monkeypatch.setenv("DEGRATIO_BUDGET", budget)
+    got, out, err = run(capsys, *argv)
+    assert got == code and expected in (out if code == 0 else err)
 
 
 def test_verify_suite_runs(capsys):

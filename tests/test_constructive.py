@@ -147,6 +147,33 @@ def test_good_pair_catalog_no_fallback():
     assert covered >= 5
 
 
+# one smallest graph per case of the 3/7 analysis, found among 60,000 draws
+# from random.Random(11): n = randint(4, 11), p = uniform(0.2, 0.7), and each
+# edge u < v kept with probability p; "ab" is the edge (a, b)
+GOOD_PAIR_CASES = {
+    "triangle-cycle": (6, "03 04 05 12 14 15 25 34"),
+    "two-low-path": (5, "01 02 03 12 24 34"),
+    "three-leaves": (7, "01 02 04 05 06 12 13 14 16 24 26 35 45 56"),
+    "two-paths": (7, "01 02 03 04 05 06 13 15 16 23 25 35 36 46"),
+    "path-isolated": (6, "01 02 03 04 05 12 13 15 23 34"),
+    "single-path": (5, "01 02 03 04 13 14 24 34"),
+    "ktriangle-split": (4, "01 02 03 12 13"),
+    "isolated-deg3": (4, "01 02 03 12 13 23"),
+    "isolated-deg4plus": (6, "02 03 04 05 12 13 23 24 35"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOOD_PAIR_CASES))
+def test_good_pair_case_is_reached(case):
+    n, edges = GOOD_PAIR_CASES[case]
+    G = graph_from_edges(n, [(int(e[0]), int(e[1])) for e in edges.split()])
+    gp = find_good_pair(G)
+    assert gp.case == case
+    assert is_good_pair(G, gp)
+    P = extend_good_pair(G, gp)
+    assert partition_quality(G, P).quality >= Fraction(3, 7)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_good_pair_random_graphs(seed):

@@ -111,7 +111,7 @@ def test_flip_preserves_quality(seed, data):
     rng = random.Random(seed)
     G = random_connected_graph(rng, rng.randint(3, 8))
     mask = data.draw(st.integers(1, (1 << G.n) - 2))
-    P = Bipartition.from_mask(G.n, mask)
+    P = Bipartition.from_side1(G.n, [v for v in range(G.n) if mask >> v & 1])
     assert partition_quality(G, P).quality == \
         partition_quality(G, P.flipped()).quality
 
@@ -123,7 +123,8 @@ def test_vertex_ratios_sum_to_both_sides(seed):
     # fraction computed by direct counting with cross-multiplication
     rng = random.Random(seed)
     G = random_connected_graph(rng, rng.randint(3, 8))
-    P = Bipartition.from_mask(G.n, rng.randint(1, (1 << G.n) - 2))
+    mask = rng.randint(1, (1 << G.n) - 2)
+    P = Bipartition.from_side1(G.n, [v for v in range(G.n) if mask >> v & 1])
     for v in range(G.n):
         r = vertex_ratio(G, P, v)
         kept = 1 + sum(1 for u in G.adj[v] if P.sides[u] == P.sides[v])

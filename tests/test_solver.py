@@ -353,6 +353,12 @@ def test_disconnected_graph_reaches_quality_one():
     G = graph_from_edges(4, [(0, 1), (2, 3)])
     res = solve_q(G)
     assert res.q == 1
+    # decide splits off vertex 0's component, which keeps every closed
+    # neighborhood, without a search
+    res = decide(G, Fraction(1))
+    assert res.satisfied and res.explored == 0
+    assert res.witness.sides == (1, 1, 2, 2)
+    certify(G, res.witness, Fraction(1))
 
 
 @settings(max_examples=40, deadline=None)
