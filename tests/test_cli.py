@@ -123,12 +123,9 @@ def test_budget_zero_is_honored(capsys):
     assert code == 3 and "inconclusive" in err
 
 
-def test_negative_budget_rejected(capsys, monkeypatch):
+def test_negative_budget_rejected(capsys):
     code, _, err = run(capsys, "solve", "--named", "K5", "--budget", "-1")
-    assert code == 1 and "budget" in err
-    monkeypatch.setenv("DEGRATIO_BUDGET", "-5")
-    code, _, err = run(capsys, "solve", "--named", "K5")
-    assert code == 1 and "budget" in err
+    assert code == 1 and "budget must be nonnegative, got -1" in err
 
 
 def test_json_report_shape(capsys):
@@ -171,23 +168,21 @@ def test_generate_precondition_exit(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv, stdin, budget, code, expected", [
-    (["solve", "-"], "p 3 3\ne 1 2\ne 2 3\ne 1 3\n", None, 0, "q = 1/3"),
-    (["solve"], "", None, 1, "an input file (or -) or --named is required"),
-    (["solve", "--named", "K5"], "", "many", 1, "bad DEGRATIO_BUDGET value"),
-    (["generate", "product_fixed_H", "--named", "C6"], "", None, 1,
+@pytest.mark.parametrize("argv, stdin, code, expected", [
+    (["solve", "-"], "p 3 3\ne 1 2\ne 2 3\ne 1 3\n", 0, "q = 1/3"),
+    (["solve"], "", 1, "an input file (or -) or --named is required"),
+    (["solve", "--named", "K5", "--budget", "many"], "", 1,
+     "budget must be a nonnegative integer, got 'many'"),
+    (["generate", "product_fixed_H", "--named", "C6"], "", 1,
      "product_fixed_H needs --fixed"),
-    (["generate", "double_cover", "--named", "C3"], "", None, 0,
+    (["generate", "double_cover", "--named", "C3"], "", 0,
      '"construction": "double_cover"'),
-    (["bound", "-"], "p 4 2\ne 1 2\ne 3 4\n", None, 2,
+    (["bound", "-"], "p 4 2\ne 1 2\ne 3 4\n", 2,
      "edge upper bound needs a connected graph"),
-], ids=["stdin", "no-input", "bad-env-budget", "no-fixed-factor", "no-out",
+], ids=["stdin", "no-input", "bad-budget", "no-fixed-factor", "no-out",
         "bound-disconnected"])
-def test_input_and_option_paths(argv, stdin, budget, code, expected, capsys,
-                                monkeypatch):
+def test_input_and_option_paths(argv, stdin, code, expected, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    if budget is not None:
-        monkeypatch.setenv("DEGRATIO_BUDGET", budget)
     got, out, err = run(capsys, *argv)
     assert got == code and expected in (out if code == 0 else err)
 
@@ -233,9 +228,8 @@ def test_verify_lists_every_suite(capsys):
         main(["verify", "--help"])
     out = capsys.readouterr().out
     assert done.value.code == 0 and all(name in out for name in SUITES)
-    with pytest.raises(SystemExit) as done:
-        main(["verify", "no-such-suite"])
-    assert done.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    code, _, err = run(capsys, "verify", "no-such-suite")
+    assert code == 1 and "invalid choice" in err
 
 
 def test_solve_loads_only_what_it_needs(tmp_path):
@@ -287,11 +281,18 @@ def test_failed_certificate_exits_4(capsys, monkeypatch):
     (["closed-form", "--named", "C5", "--json"], 2, "precondition"),
     (["solve", "--named", "petersen", "--budget", "5", "--json"], 3, "budget"),
     (["decide", "--named", "K4", "--q", "3/4", "--json"], 4, "certificate"),
+    (["solve", "--named", "K5", "--budget", "abc", "--json"], 1, "parameter"),
+    (["decide", "--named", "K5", "--json"], 1, "parameter"),
+    (["solve", "MISSING", "--json"], 1, "parameter"),
+    (["generate", "double_cover", "--named", "C3", "--out", "NOWHERE", "--json"],
+     1, "parameter"),
 ])
 def test_error_exits_print_json(argv, code, kind, tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 3 1\ne 1 9\n")
-    argv = [str(bad) if a == "BAD" else a for a in argv]
+    paths = {"BAD": str(bad), "MISSING": str(tmp_path / "missing.txt"),
+             "NOWHERE": str(tmp_path / "no-dir" / "gadget.txt")}
+    argv = [paths.get(a, a) for a in argv]
     if kind == "certificate":
         # a search leaf of quality 1/2 offered as a witness for q(K4) >= 3/4
         monkeypatch.setattr(solver, "_search",
@@ -300,6 +301,13 @@ def test_error_exits_print_json(argv, code, kind, tmp_path, capsys, monkeypatch)
     doc = json.loads(out)
     assert got == code and doc["command"] == argv[0] and doc["error"] == kind
     assert len(err.splitlines()) == 1 and doc["message"] in err
+
+
+def test_unknown_command_prints_json_without_a_command(capsys):
+    got, out, err = run(capsys, "no-such-command", "--json")
+    doc = json.loads(out)
+    assert got == 1 and doc["command"] is None and doc["error"] == "parameter"
+    assert len(err.splitlines()) == 1 and "invalid choice" in doc["message"]
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -163,15 +163,63 @@ GOOD_PAIR_CASES = {
 }
 
 
+def _from_pairs(n, edges):
+    return graph_from_edges(n, [(int(e[0]), int(e[1])) for e in edges.split()])
+
+
 @pytest.mark.parametrize("case", sorted(GOOD_PAIR_CASES))
 def test_good_pair_case_is_reached(case):
-    n, edges = GOOD_PAIR_CASES[case]
-    G = graph_from_edges(n, [(int(e[0]), int(e[1])) for e in edges.split()])
+    G = _from_pairs(*GOOD_PAIR_CASES[case])
     gp = find_good_pair(G)
     assert gp.case == case
     assert is_good_pair(G, gp)
     P = extend_good_pair(G, gp)
     assert partition_quality(G, P).quality >= Fraction(3, 7)
+
+
+# one smallest graph, from the same 60,000 draws, for each later yield of the
+# path-isolated and single-path cases (numbered in the order
+# construct._proof_candidates yields them): the earlier candidates fail
+# there, and this yield supplies the returned pair (A, B).  Without the
+# yield, path-isolated-2, single-path-3 and single-path-4 return another
+# pair (single-path-4 the solver fallback); path-isolated-3 and
+# single-path-2 have no such graph among the draws, since a later yield
+# (path-isolated-1, single-path-3) then supplies the same pair
+LATER_YIELDS = {
+    "path-isolated-2": ("path-isolated", 6, "01 02 03 04 05 12 14 15 23 25 35",
+                        "034", "125"),
+    "path-isolated-3": ("path-isolated", 6, "01 02 03 04 12 13 14 23 25 35",
+                        "235", "014"),
+    "single-path-2": ("single-path", 6, "01 02 03 04 12 14 23 24 25 34 35",
+                      "034", "125"),
+    "single-path-3": ("single-path", 7, "01 02 04 05 06 12 13 14 15 23 25 26 34 35 46",
+                      "135", "026"),
+    "single-path-4": ("single-path", 7, "01 03 04 05 06 12 13 14 16 25 35 36 45 46",
+                      "0245", "136"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATER_YIELDS))
+def test_later_good_pair_yield_supplies_the_pair(name):
+    case, n, edges, A, B = LATER_YIELDS[name]
+    G = _from_pairs(n, edges)
+    gp = find_good_pair(G)
+    assert (gp.case, gp.A, gp.B) == (case, frozenset(map(int, A)),
+                                     frozenset(map(int, B)))
+    P = extend_good_pair(G, gp)
+    assert partition_quality(G, P).quality >= Fraction(3, 7)
+
+
+def test_extension_hands_the_leftover_to_side_two_wholesale():
+    # the smallest such graph of the same draws: after the pair
+    # ({0, 2, 3}, {1, 4}), the leftover {5, 6} keeps 2/3 of each closed
+    # neighbourhood, so A and B together become side 1
+    G = _from_pairs(7, "02 03 05 13 14 23 46 56")
+    gp = find_good_pair(G)
+    assert (gp.A, gp.B) == (frozenset({0, 2, 3}), frozenset({1, 4}))
+    P = extend_good_pair(G, gp)
+    assert P.side(2) == frozenset({5, 6})
+    assert partition_quality(G, P).quality == Fraction(2, 3)
 
 
 @settings(max_examples=40, deadline=None)

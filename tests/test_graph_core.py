@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -417,6 +418,20 @@ def test_pattern_search_leaves_no_garbage_cycles():
 def test_isomorphism_negative():
     assert not is_isomorphic(build_named("prism"), complete_bipartite(3, 3))
     assert not is_isomorphic(cycle(6), cycle(5))
+
+
+def test_pattern_search_is_not_bounded_by_recursion_limit():
+    # the embedding runs on an explicit stack and the pattern order takes
+    # O(m log n), so patterns past the recursion limit answer at once
+    labels = list(range(1100))
+    random.Random(11).shuffle(labels)
+    relabelled = graph_from_edges(
+        1100, [(labels[u], labels[v]) for u, v in cycle(1100).edges()])
+    for call in (lambda: is_isomorphic(cycle(1100), relabelled),
+                 lambda: contains_subgraph(cycle(1200), path(1100))):
+        started = time.perf_counter()
+        assert call()
+        assert time.perf_counter() - started < 2
 
 
 def test_parse_emit_round_trip():
